@@ -23,18 +23,17 @@ the ``reference`` kernel, so the choice affects wall time only — never
 distances, paths, or the charged ``dtw.*`` metrics.  The full-matrix
 entry points (:func:`dtw_additive_matrix`, :func:`dtw_max_matrix`) cost
 ``O(|S| x |Q|)`` time and memory and support warping-path recovery and
-global constraint windows.  For the max recurrence we additionally
-exploit a classical minimax-path identity: ``dtw_max(S, Q) <= t`` iff
-the cell ``(|S|-1, |Q|-1)`` is reachable from ``(0, 0)`` through cells
-with ``|s_i - q_j| <= t`` using (right / down / diagonal) steps.
-Reachability is computed row-by-row with vectorized numpy, and the exact
-distance is found by binary search over the ``O(|S| x |Q|)`` candidate
-difference values — in practice an order of magnitude faster than the
-Python DP loop.  :func:`dtw_max_early_abandon` runs a single
-reachability pass at the query tolerance and gives the early-exit
-behaviour the paper relies on in its post-processing step (section 4.1:
-with ``L_inf``, a sequence can be discarded the moment no admissible
-path remains).
+global constraint windows.  The max recurrence (:func:`dtw_max`,
+:func:`dtw_max_early_abandon`, :func:`dtw_max_within`) runs as one
+bounded fill (the kernel's ``max_bounded``) that carries the recurrence
+on its last two anti-diagonals.  With a tolerance it abandons the moment no admissible
+path remains — the early-exit behaviour the paper relies on in its
+post-processing step (section 4.1: with ``L_inf``, a sequence can be
+discarded as soon as its warping paths all exceed the tolerance).  A
+warping step advances ``i + j`` by one or two, so that moment is the
+second of two consecutive anti-diagonals with no cell within the
+tolerance.  The fill takes only ``min`` and ``max`` of the exact element
+differences, so the distance it returns is exact at every input size.
 
 Metric charging happens here, in the wrappers, from the structured
 outcome a kernel returns — never inside a kernel.  That makes the
@@ -239,80 +238,23 @@ def _charge_cells(cells: int, *, abandon_depth: float | None = None) -> None:
         registry.observe("dtw.abandon_depth", abandon_depth)
 
 
-def _reachable(s_arr: np.ndarray, q_arr: np.ndarray, t: float) -> bool:
-    """Can a warping path connect the corners using only cells with
-    ``|s_i - q_j| <= t``?
+def _max_bounded(s_arr: np.ndarray, q_arr: np.ndarray, epsilon: float) -> float:
+    """Definition-2 distance if it is ``<= epsilon``, else ``inf``.
 
-    Steps allowed: right, down, diagonal — the DTW path moves.  Works
-    row by row with ``O(|Q|)`` memory, computing each row of the
-    admissibility grid on the fly: within each maximal run of admissible
-    cells, reachability propagates rightward from any cell seeded by the
-    previous row.
+    Both corners lie on every warping path, so a corner farther apart
+    than *epsilon* rejects the pair in O(1) (charged as 2 cells at
+    abandon depth 0).  Otherwise the active kernel's bounded fill runs.
 
-    Instrumentation: ``dtw.cells`` counts grid cells whose admissibility
-    was evaluated; an exit before the last row also charges
-    ``dtw.early_abandons`` and observes ``dtw.abandon_depth`` (fraction
-    of rows completed when the pass gave up).
+    Instrumentation: ``dtw.cells`` counts the cells on the anti-diagonals
+    swept; an abandoned fill also charges ``dtw.early_abandons`` and
+    observes ``dtw.abandon_depth`` (fraction of anti-diagonals swept).
     """
-    ok, cells, depth = active_kernel().reachable(s_arr, q_arr, t)
+    if abs(s_arr[0] - q_arr[0]) > epsilon or abs(s_arr[-1] - q_arr[-1]) > epsilon:
+        _charge_cells(2, abandon_depth=0.0)
+        return _INF
+    distance, cells, depth = active_kernel().max_bounded(s_arr, q_arr, epsilon)
     _charge_cells(cells, abandon_depth=depth)
-    return ok
-
-
-#: Above this many grid cells, exact value refinement switches from a
-#: discrete search over all pairwise differences to a bounded bisection
-#: (results then carry a ~1e-12 relative tolerance).
-_DENSE_CELL_LIMIT = 4_000_000
-
-#: Bisection iterations for the large-input refinement path.
-_BISECT_ITERATIONS = 100
-
-
-def _refine_exact(
-    s_arr: np.ndarray, q_arr: np.ndarray, upper: float
-) -> float:
-    """Exact minimax value given that a path exists at threshold *upper*.
-
-    Binary-searches the sorted set of pairwise differences not
-    exceeding *upper* — the answer is always one of them (the path's
-    bottleneck pair).
-    """
-    diff = np.abs(s_arr[:, None] - q_arr[None, :])
-    candidates = np.unique(diff[diff <= upper])
-    lo, hi = 0, candidates.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _reachable(s_arr, q_arr, float(candidates[mid])):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(candidates[lo])
-
-
-def _refine_bisect(
-    s_arr: np.ndarray, q_arr: np.ndarray, lower: float, upper: float
-) -> float:
-    """Bisection refinement for inputs too large to enumerate differences."""
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (lower + upper)
-        if mid == lower or mid == upper:
-            break
-        if _reachable(s_arr, q_arr, mid):
-            upper = mid
-        else:
-            lower = mid
-    return upper
-
-
-def _refine(s_arr: np.ndarray, q_arr: np.ndarray, upper: float) -> float:
-    """Dispatch between exact and bisection refinement by grid size."""
-    if s_arr.size * q_arr.size <= _DENSE_CELL_LIMIT:
-        return _refine_exact(s_arr, q_arr, upper)
-    lower = max(
-        abs(float(s_arr[0]) - float(q_arr[0])),
-        abs(float(s_arr[-1]) - float(q_arr[-1])),
-    )
-    return _refine_bisect(s_arr, q_arr, lower, upper)
+    return distance
 
 
 def dtw_max_within(
@@ -320,9 +262,8 @@ def dtw_max_within(
 ) -> bool:
     """Decision procedure: is ``dtw_max(S, Q) <= epsilon``?
 
-    Runs a single vectorized reachability pass over the boolean grid
-    ``|s_i - q_j| <= epsilon``; this is the minimax-path characterization
-    of the Definition-2 distance.
+    One early-abandoning bounded fill, as in
+    :func:`dtw_max_early_abandon`.
     """
     s_arr, q_arr = _check_operands(s, q)
     n, m = s_arr.size, q_arr.size
@@ -331,31 +272,22 @@ def dtw_max_within(
         return boundary <= epsilon
     if epsilon < 0:
         raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
-    return _reachable(s_arr, q_arr, epsilon)
+    return bool(_max_bounded(s_arr, q_arr, epsilon) <= epsilon)
 
 
 def dtw_max(s: SequenceLike, q: SequenceLike) -> float:
     """The paper's time-warping distance (Definition 2, exact value).
 
-    Computed by binary search over pairwise element differences using
-    the minimax-path reachability test; equals the bottom-right cell of
-    :func:`dtw_max_matrix` but is much faster for long sequences.  For
-    very large inputs (beyond ``_DENSE_CELL_LIMIT`` grid cells) the
-    refinement bisects on a continuous interval instead and the result
-    carries a ~1e-12 relative tolerance.
+    One unbounded max fill, bit-identical to the bottom-right cell of
+    :func:`dtw_max_matrix` at every input size; it carries the
+    recurrence on its last two anti-diagonals instead of a full matrix.
     """
     s_arr, q_arr = _check_operands(s, q)
     n, m = s_arr.size, q_arr.size
     boundary = _empty_case(n, m)
     if boundary is not None:
         return boundary
-    # The answer is one of the pairwise differences (the path
-    # bottleneck); the largest possible difference always admits a path.
-    upper = max(
-        abs(float(s_arr.max()) - float(q_arr.min())),
-        abs(float(q_arr.max()) - float(s_arr.min())),
-    )
-    return _refine(s_arr, q_arr, upper)
+    return _max_bounded(s_arr, q_arr, _INF)
 
 
 def dtw_max_early_abandon(
@@ -364,10 +296,10 @@ def dtw_max_early_abandon(
     """Exact Definition-2 distance if it is ``<= epsilon``, else ``inf``.
 
     This is the verification primitive every search method uses in its
-    post-processing step: a single cheap reachability pass rejects
-    non-qualifying sequences (the ``L_inf`` early-abandon advantage the
-    paper describes in section 4.1), and only survivors pay for the
-    exact-value refinement.
+    post-processing step: one bounded fill both computes the exact
+    distance and stops as soon as no admissible path remains (the
+    ``L_inf`` early-abandon advantage the paper describes in section
+    4.1).
     """
     s_arr, q_arr = _check_operands(s, q)
     n, m = s_arr.size, q_arr.size
@@ -376,9 +308,7 @@ def dtw_max_early_abandon(
         return boundary if boundary <= epsilon else _INF
     if epsilon < 0:
         raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
-    if not _reachable(s_arr, q_arr, epsilon):
-        return _INF
-    return _refine(s_arr, q_arr, epsilon)
+    return _max_bounded(s_arr, q_arr, epsilon)
 
 
 def dtw_distance(
@@ -392,7 +322,7 @@ def dtw_distance(
     """Unified entry point for the time-warping distance.
 
     Dispatches on the accumulation rule: :attr:`BaseDistance.LINF`
-    (the paper's Definition 2) uses the fast minimax algorithm, ``L1`` /
+    (the paper's Definition 2) uses the bounded max fill, ``L1`` /
     ``L2`` (Definition 1) use the additive DP.  *threshold* enables
     early abandoning: the result is ``inf`` whenever the true distance
     exceeds it.

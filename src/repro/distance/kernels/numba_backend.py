@@ -6,8 +6,8 @@ a parity-manifest entry — see ``OPTIONAL_KERNELS``).  The JIT function
 mirrors the reference two-row DP statement for statement: every per-cell
 operation is the same IEEE-754 double ``abs``/``sub``/``mul``/``add``
 and comparison, so results and early-abandon outcomes are bit-identical.
-The matrix fills and the reachability pass are inherited from the
-vectorized kernel, which is itself pinned bit-exact to reference.
+The matrix fills and the bounded Definition-2 fill are inherited from
+the vectorized kernel, which is itself pinned bit-exact to reference.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 This is the semantics oracle every other kernel is pinned to: the
 per-cell two-row additive DP and full-matrix fills exactly as they
-shipped before the registry existed, plus the vectorized minimax
-reachability pass for the Definition-2 distance.  Nothing here charges
+shipped before the registry existed, plus the bounded Definition-2
+fill read off the full max-recurrence matrix.  Nothing here charges
 metrics — kernels return structured outcomes and the wrappers in
 :mod:`repro.distance.dtw` translate them into identical ``dtw.*``
 charges for every kernel.
@@ -154,48 +154,38 @@ class ReferenceKernel:
                 acc_row[j] = c if c > reach else reach
         return acc
 
-    def reachable(
-        self, s_arr: np.ndarray, q_arr: np.ndarray, t: float
-    ) -> tuple[bool, int, float | None]:
-        """Can a warping path connect the corners using only cells with
-        ``|s_i - q_j| <= t``?
+    def max_bounded(
+        self, s_arr: np.ndarray, q_arr: np.ndarray, epsilon: float
+    ) -> tuple[float, int, float | None]:
+        """Definition-2 distance if it is ``<= epsilon``, else ``inf``.
 
-        Steps allowed: right, down, diagonal — the DTW path moves.  Works
-        row by row with ``O(|Q|)`` memory, computing each row of the
-        admissibility grid on the fly: within each maximal run of
-        admissible cells, reachability propagates rightward from any cell
-        seeded by the previous row.
+        Fills the whole :meth:`max_matrix` and reads the abandon point
+        off its anti-diagonal minima: a warping step advances ``i + j``
+        by one or two, so no admissible path crosses two consecutive
+        anti-diagonals whose cells all exceed *epsilon*.  The first
+        such pair ends the pass.
 
-        Returns ``(reachable, cells evaluated, abandon depth)``; the
-        depth is the fraction of rows completed when an early exit gave
-        up, or ``None`` for a full pass.
+        Returns ``(distance or inf, cells, abandon depth)``: *cells*
+        counts the cells on the anti-diagonals swept, and the depth is
+        the fraction of anti-diagonals swept when the pass abandoned, or
+        ``None`` for a full pass.
         """
         n, m = s_arr.size, q_arr.size
-        # Both corners lie on every warping path; reject in O(1) when
-        # either is inadmissible (this is the early-abandon fast path).
-        if abs(s_arr[0] - q_arr[0]) > t or abs(s_arr[-1] - q_arr[-1]) > t:
-            return False, 2, 0.0
-        idx = np.arange(m)
-        # Row 0: reachable prefix of admissible cells.
-        ok_row = np.abs(s_arr[0] - q_arr) <= t
-        reach = ok_row & (np.cumsum(~ok_row) == 0)
-        shifted = np.empty(m, dtype=bool)
-        for i in range(1, n):
-            ok_row = np.abs(s_arr[i] - q_arr) <= t
-            # Cells seeded directly from row i-1 (down or diagonal step).
-            shifted[0] = False
-            shifted[1:] = reach[:-1]
-            seed = ok_row & (reach | shifted)
-            if not seed.any():
-                return False, (i + 1) * m, (i + 1) / n
-            # Propagate right within runs: cell j is reachable iff some
-            # seed at k <= j has no inadmissible cell in (k, j].  A seed
-            # position is itself admissible, so ``last_seed > last_block``
-            # holds exactly at and after a seed within its run.
-            last_block = np.maximum.accumulate(np.where(~ok_row, idx, -1))
-            last_seed = np.maximum.accumulate(np.where(seed, idx, -1))
-            reach = ok_row & (last_seed > last_block)
-        return bool(reach[m - 1]), n * m, None
+        acc = self.max_matrix(s_arr, q_arr, window=None)
+        span = n + m - 1
+        # Anti-diagonal d (cells with i + j == d) is the column-flipped
+        # matrix's diagonal at offset m - 1 - d.
+        flipped = acc[:, ::-1]
+        dead = [
+            float(flipped.diagonal(m - 1 - d).min()) > epsilon
+            for d in range(span)
+        ]
+        for d in range(1, span):
+            if dead[d - 1] and dead[d]:
+                swept = np.add.outer(np.arange(n), np.arange(m)) <= d
+                return _INF, int(swept.sum()), (d + 1) / span
+        corner = float(acc[n - 1, m - 1])
+        return (corner if corner <= epsilon else _INF), n * m, None
 
 
 register_kernel("reference", ReferenceKernel())

@@ -3,7 +3,7 @@
 A *kernel* is one implementation of the low-level DTW computations the
 public functions in :mod:`repro.distance.dtw` dispatch to: the additive
 two-row accumulation (Definition 1), the full-matrix fills (for warping
-path recovery), and the minimax reachability pass (Definition 2).
+path recovery), and the bounded early-abandoning max fill (Definition 2).
 
 Kernels are registered under a short name in :data:`KERNELS` and
 selected process-wide via :func:`set_kernel`, per-scope via
@@ -36,9 +36,12 @@ Kernel outcome conventions
 the raw accumulated corner value (squared costs for the ``L_2`` base)
 and *abandoned_rows* is the number of DP rows processed when the
 reference early-abandon condition fired, or ``None`` for a completed
-fill.  ``reachable`` returns ``(reachable, cells, abandon_depth)``
-mirroring the reference pass's charge: *cells* of grid work and, when
-the pass gave up before the last row, the fraction of rows completed.
+fill.  ``max_bounded`` returns ``(distance, cells, abandon_depth)``:
+*distance* is the exact Definition-2 distance when it is ``<= epsilon``
+and ``inf`` otherwise, *cells* counts the cells on the anti-diagonals
+swept, and *abandon_depth* is the fraction of anti-diagonals swept when
+the fill abandoned (two consecutive anti-diagonals with no cell
+``<= epsilon``), or ``None`` for a full fill.
 """
 
 from __future__ import annotations
@@ -129,10 +132,10 @@ class DtwKernel(Protocol):
         """The full max-recurrence accumulated matrix (Definition 2)."""
         ...
 
-    def reachable(
-        self, s_arr: np.ndarray, q_arr: np.ndarray, t: float
-    ) -> tuple[bool, int, float | None]:
-        """Minimax reachability: ``(reachable, cells charged, abandon depth)``."""
+    def max_bounded(
+        self, s_arr: np.ndarray, q_arr: np.ndarray, epsilon: float
+    ) -> tuple[float, int, float | None]:
+        """Bounded max fill: ``(distance or inf, cells, abandon depth)``."""
         ...
 
 

@@ -12,14 +12,14 @@ the same IEEE-754 double operations run in the same combination
 early-abandon decision is re-evaluated row-by-row in completion order
 (row ``i`` completes on diagonal ``i + m - 1``), reproducing the
 reference's first-all-inf-row abandonment — including its charge — even
-though later rows are already partially filled.
+though later rows are already partially filled.  The bounded
+Definition-2 fill (:meth:`VectorizedKernel.max_bounded`) abandons on the
+same anti-diagonal the reference reads off its full matrix.
 
-Banded windows get a genuinely banded fill: for monotone windows (all
-generators in :mod:`repro.distance.bands` produce these) the admissible
-cells of a diagonal form one contiguous run located by binary search, so
-a Sakoe–Chiba band of width ``w`` costs ``O((n + m) * w)`` element work
-instead of ``O((n + m) * min(n, m))``.  Arbitrary windows fall back to
-masking the full diagonal.
+Windowed fills go to the reference per-cell loop: a banded wavefront
+pays the per-diagonal numpy dispatch on diagonals that hold only a few
+admissible cells, and measured slower than the interpreter loop at every
+length.
 """
 
 from __future__ import annotations
@@ -43,46 +43,8 @@ _INF = math.inf
 _WAVEFRONT_MIN_CELLS = 2048
 
 
-class _Band:
-    """Per-diagonal admissibility bounds for a ``Window``.
-
-    ``clip(d, i0, i1)`` returns the sub-range of rows ``[ia, ib]`` within
-    ``[i0, i1]`` whose cell on diagonal *d* is admissible, plus a flag
-    telling whether masking is still required (non-monotone windows).
-    """
-
-    def __init__(self, window: Window, n: int) -> None:
-        bounds = np.asarray(window, dtype=np.intp)
-        rows = np.arange(n, dtype=np.intp)
-        self.lo = bounds[:, 0]
-        self.hi = bounds[:, 1]
-        # j = d - i is admissible iff lo[i] + i <= d < hi[i] + i.  When
-        # both sums are nondecreasing in i the admissible rows of any
-        # diagonal form one contiguous run findable by binary search.
-        self.lo_plus = self.lo + rows
-        self.hi_plus = self.hi + rows
-        self.monotone = bool(
-            np.all(np.diff(self.lo_plus) >= 0)
-            and np.all(np.diff(self.hi_plus) >= 0)
-        )
-
-    def clip(self, d: int, i0: int, i1: int) -> tuple[int, int, bool]:
-        if not self.monotone:
-            return i0, i1, True
-        ia = int(np.searchsorted(self.hi_plus, d, side="right"))
-        ib = int(np.searchsorted(self.lo_plus, d, side="right")) - 1
-        return max(ia, i0), min(ib, i1), False
-
-    def mask(self, d: int, i0: int, i1: int) -> np.ndarray:
-        j = d - np.arange(i0, i1 + 1, dtype=np.intp)
-        in_band: np.ndarray = (j >= self.lo[i0 : i1 + 1]) & (
-            j < self.hi[i0 : i1 + 1]
-        )
-        return in_band
-
-
 class VectorizedKernel(ReferenceKernel):
-    """Anti-diagonal numpy wavefront; inherits the reachability pass."""
+    """Anti-diagonal numpy wavefront for unconstrained fills."""
 
     name = "vectorized"
 
@@ -96,7 +58,7 @@ class VectorizedKernel(ReferenceKernel):
         cutoff: float | None,
     ) -> tuple[float, int | None]:
         n, m = s_arr.size, q_arr.size
-        if n * m < _WAVEFRONT_MIN_CELLS:
+        if window is not None or n * m < _WAVEFRONT_MIN_CELLS:
             return super().additive_total(
                 s_arr, q_arr, power=power, window=window, cutoff=cutoff
             )
@@ -104,16 +66,9 @@ class VectorizedKernel(ReferenceKernel):
         # The reference two-row DP overflows to inf silently (python
         # float semantics); match that rather than warning per diagonal.
         with np.errstate(over="ignore"):
-            if window is None and cutoff is None and self._overflow_free(
-                s_arr, q_arr, power
-            ):
+            if cutoff is None and self._overflow_free(s_arr, q_arr, power):
                 return self._additive_wavefront_lean(s_arr, qr, power)
-            band = _Band(window, n) if window is not None else None
-            lo0 = int(band.lo[0]) if band is not None else 0
-            row_finite = np.zeros(n, dtype=bool)
-            return self._additive_wavefront(
-                s_arr, qr, power, cutoff, band, lo0, row_finite
-            )
+            return self._additive_wavefront(s_arr, qr, power, cutoff)
 
     @staticmethod
     def _overflow_free(
@@ -174,11 +129,9 @@ class VectorizedKernel(ReferenceKernel):
         qr: np.ndarray,
         power: float,
         cutoff: float | None,
-        band: _Band | None,
-        lo0: int,
-        row_finite: np.ndarray,
     ) -> tuple[float, int | None]:
         n, m = s_arr.size, qr.size
+        row_finite = np.zeros(n, dtype=bool)
         # Diagonal buffers indexed by row + 1; slot 0 is an inf sentinel
         # standing in for the out-of-grid row -1.
         prev2 = np.full(n + 1, _INF)
@@ -188,35 +141,25 @@ class VectorizedKernel(ReferenceKernel):
             i0 = d - m + 1 if d >= m else 0
             i1 = d if d < n else n - 1
             curr[:] = _INF
-            ia, ib, need_mask = (
-                band.clip(d, i0, i1) if band is not None else (i0, i1, False)
-            )
-            if ia <= ib:
-                cost = np.abs(s_arr[ia : ib + 1] - qr[m - 1 - d + ia : m - d + ib])
-                if power == 2.0:
-                    cost = cost * cost
-                if d == 0:
-                    cell = cost  # the (0, 0) corner: best is 0.0
-                else:
-                    best = np.minimum(
-                        np.minimum(prev1[ia : ib + 1], prev1[ia + 1 : ib + 2]),
-                        prev2[ia : ib + 1],
-                    )
-                    cell = best + cost
-                if cutoff is not None:
-                    cell[cell > cutoff] = _INF
-                if need_mask and band is not None:
-                    cell[~band.mask(d, ia, ib)] = _INF
-                curr[ia + 1 : ib + 2] = cell
-                row_finite[ia : ib + 1] |= np.isfinite(cell)
+            cost = np.abs(s_arr[i0 : i1 + 1] - qr[m - 1 - d + i0 : m - d + i1])
+            if power == 2.0:
+                cost = cost * cost
+            if d == 0:
+                cell = cost  # the (0, 0) corner: best is 0.0
+            else:
+                best = np.minimum(
+                    np.minimum(prev1[i0 : i1 + 1], prev1[i0 + 1 : i1 + 2]),
+                    prev2[i0 : i1 + 1],
+                )
+                cell = best + cost
+            if cutoff is not None:
+                cell[cell > cutoff] = _INF
+            curr[i0 + 1 : i1 + 2] = cell
+            row_finite[i0 : i1 + 1] |= np.isfinite(cell)
             # Row i completes once diagonal i + m - 1 is filled; checking
             # in completion order reproduces the reference early abandon.
             completed = d - m + 1
-            if (
-                completed >= 0
-                and not row_finite[completed]
-                and not (completed == 0 and lo0 > 0)
-            ):
+            if completed >= 0 and not row_finite[completed]:
                 return _INF, completed + 1
             prev2, prev1, curr = prev1, curr, prev2
         return float(prev1[n]), None
@@ -229,14 +172,14 @@ class VectorizedKernel(ReferenceKernel):
         power: float,
         window: Window | None,
     ) -> np.ndarray:
-        if s_arr.size * q_arr.size < _WAVEFRONT_MIN_CELLS:
+        if window is not None or s_arr.size * q_arr.size < _WAVEFRONT_MIN_CELLS:
             return super().additive_matrix(
                 s_arr, q_arr, power=power, window=window
             )
         cost = np.abs(s_arr[:, None] - q_arr[None, :])
         if power != 1.0:
             cost = cost**power
-        return self._wavefront_matrix(cost, window, additive=True)
+        return self._wavefront_matrix(cost, additive=True)
 
     def max_matrix(
         self,
@@ -245,13 +188,13 @@ class VectorizedKernel(ReferenceKernel):
         *,
         window: Window | None,
     ) -> np.ndarray:
-        if s_arr.size * q_arr.size < _WAVEFRONT_MIN_CELLS:
+        if window is not None or s_arr.size * q_arr.size < _WAVEFRONT_MIN_CELLS:
             return super().max_matrix(s_arr, q_arr, window=window)
         cost = np.abs(s_arr[:, None] - q_arr[None, :])
-        return self._wavefront_matrix(cost, window, additive=False)
+        return self._wavefront_matrix(cost, additive=False)
 
     def _wavefront_matrix(
-        self, cost: np.ndarray, window: Window | None, *, additive: bool
+        self, cost: np.ndarray, *, additive: bool
     ) -> np.ndarray:
         """Fill the full accumulated matrix one anti-diagonal at a time.
 
@@ -261,7 +204,6 @@ class VectorizedKernel(ReferenceKernel):
         """
         n, m = cost.shape
         acc = np.full((n, m), _INF)
-        band = _Band(window, n) if window is not None else None
         rows = np.arange(n, dtype=np.intp)
         prev2 = np.full(n + 1, _INF)
         prev1 = np.full(n + 1, _INF)
@@ -270,31 +212,92 @@ class VectorizedKernel(ReferenceKernel):
             i0 = d - m + 1 if d >= m else 0
             i1 = d if d < n else n - 1
             curr[:] = _INF
-            ia, ib, need_mask = (
-                band.clip(d, i0, i1) if band is not None else (i0, i1, False)
-            )
-            if ia <= ib:
-                i_idx = rows[ia : ib + 1]
-                j_idx = d - i_idx
-                c = cost[i_idx, j_idx]
-                if d == 0:
-                    # The (0, 0) corner: best is 0.0 and cost >= 0, so
-                    # both recurrences reduce to the cost itself.
-                    cell = c
-                else:
-                    best = np.minimum(
-                        np.minimum(prev1[ia : ib + 1], prev1[ia + 1 : ib + 2]),
-                        prev2[ia : ib + 1],
-                    )
-                    cell = best + c if additive else np.maximum(c, best)
-                if need_mask and band is not None:
-                    # Masked cells become inf — writing them back into
-                    # ``acc`` is a no-op against its inf initialisation.
-                    cell[~band.mask(d, ia, ib)] = _INF
-                acc[i_idx, j_idx] = cell
-                curr[ia + 1 : ib + 2] = cell
+            i_idx = rows[i0 : i1 + 1]
+            j_idx = d - i_idx
+            c = cost[i_idx, j_idx]
+            if d == 0:
+                # The (0, 0) corner: best is 0.0 and cost >= 0, so both
+                # recurrences reduce to the cost itself.
+                cell = c
+            else:
+                best = np.minimum(
+                    np.minimum(prev1[i0 : i1 + 1], prev1[i0 + 1 : i1 + 2]),
+                    prev2[i0 : i1 + 1],
+                )
+                cell = best + c if additive else np.maximum(c, best)
+            acc[i_idx, j_idx] = cell
+            curr[i0 + 1 : i1 + 2] = cell
             prev2, prev1, curr = prev1, curr, prev2
         return acc
+
+    def max_bounded(
+        self, s_arr: np.ndarray, q_arr: np.ndarray, epsilon: float
+    ) -> tuple[float, int, float | None]:
+        """The bounded max-recurrence fill as one early-abandoning wavefront.
+
+        Each anti-diagonal computes ``max(cost, min(up, left, diag))``
+        with the buffer layout and two sentinel writes of
+        :meth:`_additive_wavefront_lean`.  The costs are one ``|S| x
+        |Q|`` array built up front against the reversed query, so
+        anti-diagonal ``d`` is the strided view at offset ``m - 1 - d``
+        with step ``m + 1``.  A step advances ``i + j`` by one or two,
+        so the pass abandons once two consecutive anti-diagonals hold no
+        cell ``<= epsilon`` — one such diagonal can still be jumped by a
+        diagonal step.  Values are never clipped, so a surviving corner
+        is the exact distance.
+        """
+        n, m = s_arr.size, q_arr.size
+        cost = np.abs(s_arr[:, None] - q_arr[None, ::-1]).ravel()
+        step = m + 1
+        span = n + m - 1
+        bounded = epsilon != _INF
+        prev2 = np.full(n + 1, _INF)
+        prev1 = np.full(n + 1, _INF)
+        curr = np.full(n + 1, _INF)
+        best = np.empty(n)
+        cells = 0
+        dead_before = False
+        live = 0  # row of a cell <= epsilon on the last live anti-diagonal
+        for d in range(span):
+            i0 = d - m + 1 if d >= m else 0
+            i1 = d if d < n else n - 1
+            size = i1 - i0 + 1
+            start = i0 * step + m - 1 - d
+            c = cost[start : start + (size - 1) * step + 1 : step]
+            cell = curr[i0 + 1 : i1 + 2]
+            if d == 0:
+                cell[0] = c[0]  # the (0, 0) corner: no predecessor
+            else:
+                b = best[:size]
+                np.minimum(prev1[i0 : i1 + 1], prev1[i0 + 1 : i1 + 2], out=b)
+                np.minimum(b, prev2[i0 : i1 + 1], out=b)
+                np.maximum(c, b, out=cell)
+            curr[i0] = _INF
+            if i1 + 2 <= n:
+                curr[i1 + 2] = _INF
+            cells += size
+            if bounded:
+                # The successors of the last live cell found sit in its
+                # row or the next: probe those two before reducing the
+                # whole anti-diagonal.
+                if i0 <= live <= i1 and curr[live + 1] <= epsilon:
+                    dead = False
+                elif i0 <= live + 1 <= i1 and curr[live + 2] <= epsilon:
+                    live += 1
+                    dead = False
+                else:
+                    # ``min`` keeps the GIL where ``argmin`` drops it on
+                    # every call, which lets another shard thread cut in.
+                    low = cell.min()
+                    dead = bool(low > epsilon)
+                    if not dead:
+                        live = i0 + cell.tolist().index(low)
+                    elif dead_before:
+                        return _INF, cells, (d + 1) / span
+                dead_before = dead
+            prev2, prev1, curr = prev1, curr, prev2
+        corner = float(prev1[n])
+        return (corner if corner <= epsilon else _INF), n * m, None
 
 
 register_kernel("vectorized", VectorizedKernel())

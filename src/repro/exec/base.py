@@ -7,9 +7,11 @@ factored into a :class:`ShardExecutor`:
 
 * ``serial`` — every shard runs inline in the calling thread, in shard
   order.  The old ``shards == 1`` short-circuit, generalized to any N.
-* ``thread`` — a lazily-created, *persistent* thread pool (one worker
-  per shard).  Each task runs in a copy of the submitting thread's
-  :mod:`contextvars` context so trace spans parent correctly.
+* ``thread`` — a lazily-created, *persistent* thread pool that the
+  calling thread joins: the caller runs shards itself and the pool's
+  ``N - 1`` workers take the ones it has not reached.  Each shard runs
+  in a copy of the submitting thread's :mod:`contextvars` context so
+  trace spans parent correctly.
 * ``process`` — spawn-based worker processes that own a replica of
   their shard's :class:`~repro.core.query_engine.QueryEngine`, reading
   the feature store zero-copy from a

@@ -185,7 +185,7 @@ class SharedStateRule(Rule):
                         locks.add(attr)
         return frozenset(safe), frozenset(locks)
 
-    def _reachable(self, methods: dict[str, ast.FunctionDef]) -> set[str]:
+    def _query_closure(self, methods: dict[str, ast.FunctionDef]) -> set[str]:
         """Methods reachable from the query entry points via self-calls."""
         entries = [
             name
@@ -212,7 +212,7 @@ class SharedStateRule(Rule):
     ) -> Iterator[Violation]:
         methods = _method_defs(cls)
         safe, locks = self._classify_attrs(ctx, methods)
-        for name in sorted(self._reachable(methods)):
+        for name in sorted(self._query_closure(methods)):
             collector = _WriteCollector(ctx, safe, locks)
             for stmt in methods[name].body:
                 collector.visit(stmt)

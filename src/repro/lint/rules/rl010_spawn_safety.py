@@ -102,7 +102,7 @@ def _module_functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
     }
 
 
-def _reachable_workers(
+def _worker_closure(
     tree: ast.Module,
 ) -> dict[str, ast.FunctionDef]:
     """Worker entry functions plus module functions they call."""
@@ -171,7 +171,7 @@ class SpawnSafetyRule(Rule):
         mutable = _mutable_module_globals(ctx, ctx.tree)
         if not mutable:
             return
-        for fn_name, fn in sorted(_reachable_workers(ctx.tree).items()):
+        for fn_name, fn in sorted(_worker_closure(ctx.tree).items()):
             local_shadow = _local_names(fn)
             for node in ast.walk(fn):
                 if (

@@ -203,8 +203,8 @@ def render_pruning_waterfall(
         cost_rows.append(
             (
                 "early-abandon depth",
-                f"mean {depth.mean:.1f} rows "
-                f"(min {depth.minimum:.0f}, max {depth.maximum:.0f}, "
+                f"mean {depth.mean:.2f} of the fill swept "
+                f"(min {depth.minimum:.2f}, max {depth.maximum:.2f}, "
                 f"n={depth.count})",
             )
         )

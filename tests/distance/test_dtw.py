@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.distance.base import L1, L2, LINF
 from repro.distance.bands import full_window, sakoe_chiba_window
@@ -252,48 +254,44 @@ class TestDispatch:
 
 
 class TestRefinementPaths:
-    """Direct coverage of the refinement internals the cascade only hits
-    indirectly: the large-input bisection fallback and the decision
-    procedure at exactly-threshold tolerance."""
+    """Direct coverage of the exact-value paths the cascade only hits
+    indirectly: abandoning across a diagonal step, the no-false-dismissal
+    property of the bounded fill, exactness on large grids, and the
+    decision procedure at exactly-threshold tolerance."""
 
-    def _force_bisect(self, monkeypatch: pytest.MonkeyPatch) -> None:
-        import repro.distance.dtw as dtw_module
+    def test_diagonal_step_jumps_one_dead_antidiagonal(self) -> None:
+        """Anti-diagonal 1 has no cell within 0, yet the diagonal step
+        (0, 0) -> (1, 1) skips it: abandoning after one dead
+        anti-diagonal would be a false dismissal."""
+        assert dtw_max_early_abandon([0, 5, 0], [0, 5, 0], 0.0) == 0.0
+        assert dtw_max_within([0, 5, 0], [0, 5, 0], 0.0) is True
 
-        # Any grid is now "too dense" to enumerate differences, so
-        # _refine must take the _refine_bisect fallback.
-        monkeypatch.setattr(dtw_module, "_DENSE_CELL_LIMIT", 0)
-
-    def test_bisect_fallback_matches_exact_refinement(
-        self, monkeypatch: pytest.MonkeyPatch
+    @given(
+        s=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+        q=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+        epsilon=st.integers(0, 6),
+    )
+    def test_early_abandon_never_rejects_a_qualifying_pair(
+        self, s: list, q: list, epsilon: int
     ) -> None:
-        rng = np.random.default_rng(17)
-        pairs = [
-            (rng.uniform(0, 5, rng.integers(2, 12)),
-             rng.uniform(0, 5, rng.integers(2, 12)))
-            for _ in range(10)
-        ]
-        exact = [dtw_max(s, q) for s, q in pairs]
-        self._force_bisect(monkeypatch)
-        for (s, q), expected in zip(pairs, exact):
-            assert dtw_max(s, q) == pytest.approx(expected, rel=1e-9)
+        """Small integer values force ties and dead anti-diagonals."""
+        exact = dtw_max_matrix(s, q).distance
+        bounded = dtw_max_early_abandon(s, q, float(epsilon))
+        if exact <= epsilon:
+            assert bounded == exact
+        else:
+            assert bounded == math.inf
 
-    def test_bisect_fallback_in_early_abandon(
-        self, monkeypatch: pytest.MonkeyPatch
-    ) -> None:
-        d = dtw_max(PAPER_S, [19, 20, 22])
-        self._force_bisect(monkeypatch)
-        refined = dtw_max_early_abandon(PAPER_S, [19, 20, 22], d + 0.1)
-        assert refined == pytest.approx(d, rel=1e-9)
-        assert dtw_max_early_abandon(PAPER_S, [19, 20, 22], d - 0.01) == math.inf
-
-    def test_bisect_converges_when_corners_dominate(
-        self, monkeypatch: pytest.MonkeyPatch
-    ) -> None:
-        """lower == upper == the answer: the loop must exit immediately."""
-        self._force_bisect(monkeypatch)
-        # The bottleneck is the first-corner pair, so the bisection's
-        # initial lower bound already equals the distance.
-        assert dtw_max([5.0, 1.0], [1.0, 1.0]) == pytest.approx(4.0)
+    def test_exact_above_four_million_cells(self) -> None:
+        """A 2100 x 2100 grid: the distance is one of the pairwise
+        differences, and the decision flips exactly at it."""
+        rng = np.random.default_rng(2100)
+        s = rng.normal(size=2100).cumsum()
+        q = rng.normal(size=2100).cumsum()
+        d = dtw_max(s, q)
+        assert bool(np.any(np.abs(s[:, None] - q[None, :]) == d))
+        assert dtw_max_within(s, q, d) is True
+        assert dtw_max_within(s, q, math.nextafter(d, 0.0)) is False
 
     def test_within_at_exactly_threshold_is_true(self) -> None:
         """Admissibility is ``<= t``, so t == D_tw must answer True —
@@ -319,3 +317,19 @@ class TestRefinementPaths:
         # The far corner fails the O(1) corner test: 2 cells, depth 0.
         assert snapshot.counters["dtw.cells"] == 2
         assert snapshot.counters["dtw.early_abandons"] == 1
+
+    def test_abandon_charges_the_antidiagonals_swept(self) -> None:
+        from repro.obs.metrics import MetricsRegistry, use_registry
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            # Row 0 stays admissible through anti-diagonal 3; rows 1-2
+            # cost 9 and row 3 is reached only through them, so
+            # anti-diagonals 4 and 5 are the first dead pair.
+            assert dtw_max_early_abandon([0, 9, 9, 0], [0, 0, 0, 0], 1.0) == math.inf
+        snapshot = registry.snapshot()
+        # Anti-diagonals 0-5 hold all 16 cells but the far corner.
+        assert snapshot.counters["dtw.cells"] == 15
+        assert snapshot.counters["dtw.early_abandons"] == 1
+        depth = snapshot.histograms["dtw.abandon_depth"]
+        assert depth.count == 1 and depth.total == 6 / 7

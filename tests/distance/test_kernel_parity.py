@@ -92,6 +92,10 @@ extreme_elements = st.floats(
 )
 sequences = st.lists(elements, min_size=1, max_size=14)
 short_sequences = st.lists(elements, min_size=0, max_size=6)
+#: Few distinct values: ties and anti-diagonals with no admissible cell.
+small_int_sequences = st.lists(
+    st.integers(0, 5).map(float), min_size=1, max_size=14
+)
 extreme_sequences = st.lists(extreme_elements, min_size=1, max_size=8)
 thresholds = st.one_of(st.none(), st.floats(min_value=0, max_value=80))
 radii = st.integers(min_value=0, max_value=4)
@@ -280,6 +284,32 @@ class TestMaxParity:
         assert result.path() == expected
         assert warping_path(result.matrix, base=LINF) == expected
 
+    @given(
+        s=st.one_of(sequences, small_int_sequences),
+        q=st.one_of(sequences, small_int_sequences),
+        fraction=st.floats(min_value=0, max_value=1, exclude_max=True),
+        slack=st.floats(min_value=0, max_value=20),
+    )
+    def test_max_bounded_bit_exact(
+        self, kernel: str, s: list, q: list, fraction: float, slack: float
+    ) -> None:
+        """Distance, cells and abandon depth, with epsilon below, at and
+        above the true distance, and unbounded."""
+        s_arr = np.asarray(s, dtype=np.float64)
+        q_arr = np.asarray(q, dtype=np.float64)
+        oracle = get_kernel("reference")
+        exact = oracle.max_bounded(s_arr, q_arr, math.inf)[0]
+        for epsilon in (
+            exact * fraction,
+            math.nextafter(exact, 0.0),
+            exact,
+            exact + slack,
+            math.inf,
+        ):
+            expected = oracle.max_bounded(s_arr, q_arr, epsilon)
+            actual = get_kernel(kernel).max_bounded(s_arr, q_arr, epsilon)
+            assert actual == expected, f"{kernel}: epsilon={epsilon!r}"
+
     @given(s=sequences, q=sequences, radius=radii)
     def test_max_matrix_banded_bit_exact(
         self, kernel: str, s: list, q: list, radius: int
@@ -361,8 +391,8 @@ class TestEdgeCaseParity:
     def test_non_monotone_window_falls_back_to_masking(
         self, kernel: str
     ) -> None:
-        """Hand-built non-monotone (yet valid) window: the banded
-        binary-search fast path must defer to the masked fill."""
+        """Hand-built non-monotone (yet valid) window: every windowed
+        fill must match the reference per-cell loop."""
         s, q = [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0]
         window = [(0, 4), (2, 4), (1, 3), (3, 4)]
         assert_kernel_parity(kernel, lambda: dtw_additive(s, q, window=window))
@@ -457,5 +487,5 @@ class TestKernelSelectionApi:
             s, q, power=1.0, window=None, cutoff=None
         )
         assert abandoned is None and total >= 0.0
-        ok, cells, depth = kernel.reachable(s, q, 10.0)
-        assert ok and cells == 6 and depth is None
+        distance, cells, depth = kernel.max_bounded(s, q, 10.0)
+        assert distance == 0.5 and cells == 6 and depth is None

@@ -10,6 +10,9 @@ across mutations.  Every test here compares full
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -205,6 +208,62 @@ class TestThreadPoolReuse:
             facade.search(queries[0], 1.0)
             assert isinstance(executor, ThreadExecutor)
             assert executor.active_pool is None
+
+
+class _Shard:
+    """A stand-in shard engine whose ``work`` runs a given callable."""
+
+    def __init__(self, index: int, body) -> None:
+        self.index = index
+        self.body = body
+        self.threads: list[int] = []
+
+    def work(self) -> int:
+        self.threads.append(threading.get_ident())
+        self.body(self.index)
+        return self.index
+
+
+class TestThreadFanOut:
+    def test_every_shard_runs_once_in_shard_order(self):
+        shards = [_Shard(i, lambda i: None) for i in range(5)]
+        with ThreadExecutor(shards) as executor:
+            for _ in range(20):
+                assert executor.run("work") == [0, 1, 2, 3, 4]
+        assert all(len(shard.threads) == 20 for shard in shards)
+
+    def test_pool_takes_shards_while_the_caller_waits(self):
+        """A shard blocked outside the GIL leaves the others to the pool:
+        shard 0 can only finish after shard 1 ran, whichever thread
+        claimed it."""
+        ran = threading.Event()
+
+        def body(index: int) -> None:
+            if index == 0:
+                assert ran.wait(timeout=10)
+            else:
+                ran.set()
+
+        shards = [_Shard(i, body) for i in range(2)]
+        with ThreadExecutor(shards) as executor:
+            assert executor.run("work") == [0, 1]
+        assert shards[0].threads != shards[1].threads
+
+    def test_errors_raise_in_shard_order_after_every_shard(self):
+        finished: list[int] = []
+
+        def body(index: int) -> None:
+            if index == 2:
+                time.sleep(0.05)
+            finished.append(index)
+            if index in (1, 2):
+                raise ValueError(f"shard {index}")
+
+        shards = [_Shard(i, body) for i in range(3)]
+        with ThreadExecutor(shards) as executor:
+            with pytest.raises(ValueError, match="shard 1"):
+                executor.run("work")
+            assert sorted(finished) == [0, 1, 2]
 
 
 class TestExecutorLifecycle:
