@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the repro-specific static analyzer (rules RL001-RL016)",
+        help="run the repro-specific static analyzer (rules RL003-RL015)",
     )
     lint.add_argument(
         "paths",
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="CODES",
         help="comma-separated rule codes to run (default: all, e.g. "
-        "RL002,RL004)",
+        "RL004,RL013)",
     )
     lint.add_argument(
         "--format",
@@ -425,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--prune-suppressions",
         action="store_true",
         help="delete stale 'repro-lint: disable=' waivers (comments whose "
-        "rule no longer fires on that line/file) instead of failing",
+        "rule no longer fires on that line/file, or names no rule) "
+        "instead of failing",
     )
     lint.add_argument(
         "--graph",
@@ -497,10 +498,33 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _parse_query(text: str) -> np.ndarray:
+    """Parse ``--query``: comma-separated numbers, or ``@file`` of them.
+
+    An unreadable file, a non-numeric token or an empty query raises
+    :class:`ValidationError`, which :func:`main` reports without a
+    traceback.
+    """
     if text.startswith("@"):
-        lines = Path(text[1:]).read_text().split()
-        return np.array([float(v) for v in lines])
-    return np.array([float(v) for v in text.split(",") if v.strip()])
+        path = Path(text[1:])
+        try:
+            tokens = path.read_text().split()
+        except (OSError, UnicodeDecodeError) as error:
+            raise ValidationError(
+                f"cannot read --query file {path}: {error}"
+            ) from error
+    else:
+        tokens = [v.strip() for v in text.split(",") if v.strip()]
+    if not tokens:
+        raise ValidationError("--query holds no values")
+    values: list[float] = []
+    for token in tokens:
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ValidationError(
+                f"--query value {token!r} is not a number"
+            ) from None
+    return np.array(values)
 
 
 def _querylog_writer(args: argparse.Namespace) -> QueryLogWriter | None:

@@ -1,8 +1,8 @@
 """The optional ``numba`` kernel — JIT-compiled two-row additive DP.
 
 Registered only when :mod:`numba` is importable; on machines without it
-this module imports cleanly and registers nothing (the kernel still has
-a parity-manifest entry — see ``OPTIONAL_KERNELS``).  The JIT function
+this module imports cleanly and registers nothing (see
+``OPTIONAL_KERNELS``).  The JIT function
 mirrors the reference two-row DP statement for statement: every per-cell
 operation is the same IEEE-754 double ``abs``/``sub``/``mul``/``add``
 and comparison, so results and early-abandon outcomes are bit-identical.

@@ -19,14 +19,12 @@ paths), and — because the kernels return structured outcomes instead of
 charging metrics themselves — identical ``dtw.cells`` /
 ``dtw.early_abandons`` / ``dtw.abandon_depth`` charges by construction
 (the wrappers in :mod:`repro.distance.dtw` do all charging from the
-outcome).  The contract is enforced three ways:
+outcome).  The contract is enforced two ways:
 
 * the hypothesis differential suite ``tests/distance/test_kernel_parity.py``
-  runs generated sequence pairs through every registered kernel and
-  asserts bit-exact agreement with ``reference``;
-* every registration must appear in the kernel-parity manifest
-  ``tests/distance/kernel_manifest.py`` (lint rule RL009 checks the
-  mapping statically, the suite checks it for staleness at run time);
+  runs generated sequence pairs through every kernel in
+  :func:`available_kernels` and asserts bit-exact agreement with
+  ``reference``;
 * the committed ``BENCH_*.json`` baselines gate the exact work counters
   in CI, so a kernel that drifted would fail the bench compare.
 
@@ -82,8 +80,8 @@ KERNEL_ENV_VAR = "REPRO_DTW_KERNEL"
 DEFAULT_KERNEL = "vectorized"
 
 #: Kernel names whose registration is conditional on an optional
-#: dependency being importable.  The parity manifest may (and should)
-#: carry entries for these even on machines where they never register.
+#: dependency being importable; they are absent from :data:`KERNELS`
+#: (and so from the parity suite) on machines without it.
 OPTIONAL_KERNELS = frozenset({"numba"})
 
 
@@ -140,8 +138,7 @@ class DtwKernel(Protocol):
 
 
 #: Every registered kernel, keyed by name.  Mutate only through
-#: :func:`register_kernel`; lint rule RL009 cross-checks each
-#: registration against the kernel-parity manifest.
+#: :func:`register_kernel`; the kernel-parity suite runs every entry.
 KERNELS: dict[str, DtwKernel] = {}
 
 _lock = threading.Lock()
@@ -149,11 +146,7 @@ _active_name: str | None = None
 
 
 def register_kernel(name: str, kernel: DtwKernel) -> DtwKernel:
-    """Register *kernel* under *name*; returns the kernel.
-
-    Every call site must keep *name* a string literal so RL009 can
-    statically tie the registration to its parity-manifest entry.
-    """
+    """Register *kernel* under *name*; returns the kernel."""
     if kernel.name != name:
         raise ValidationError(
             f"kernel name mismatch: registering {name!r} but kernel "

@@ -1,12 +1,10 @@
 """``repro lint`` — the domain-aware static-analysis pass.
 
-The paper's central guarantee (the lower-bound candidate set is a
-*superset* of the true answers) plus the sharded, thread-parallel
-engine rest on conventions nothing used to machine-check: every lower
-bound must be property-tested for no false dismissal, shared state on
-the query path must be lock-guarded or thread-local, work counters must
-be deterministic functions of the seeded workload.  This package is the
-static gate for those conventions: an AST-based rule engine
+The sharded, thread-parallel engine rests on conventions no test run
+can fully exercise: shared state on the query path must be lock-guarded
+or thread-local, work counters must be deterministic functions of the
+seeded workload, only domain errors may cross the public API.  This
+package is the static gate for those conventions: an AST-based rule engine
 (:mod:`repro.lint.engine`) plus one module per project rule under
 :mod:`repro.lint.rules`.
 

@@ -5,11 +5,10 @@ Stdlib-only static analysis: every checked file is parsed once into an
 comments) and handed to each active rule.  Rules are small classes with
 three hooks — :meth:`Rule.check_file` for per-file checks,
 :meth:`Rule.finalize` for whole-project checks that need to see every
-file (dead exports, the no-false-dismissal registry cross-reference),
-and :meth:`Rule.check_project` for rules that opt into the semantic
-core (:mod:`repro.lint.semantics`): the import/module graph, symbol
-table and conservative call graph are built once per run, lazily, and
-shared by every opted-in rule.
+file (dead exports), and :meth:`Rule.check_project` for rules that
+opt into the semantic core (:mod:`repro.lint.semantics`): the
+import/module graph, symbol table and conservative call graph are
+built once per run, lazily, and shared by every opted-in rule.
 
 Suppressions are per-line comments::
 
@@ -19,9 +18,9 @@ Suppressions are per-line comments::
 ``disable=all`` / ``disable-file=all`` silence every rule.  Suppressed
 findings are still collected (reported separately) so ``--format json``
 artifacts show what was waived, not just what fired.  Waivers whose
-rule no longer fires on their line are reported in the ``stale``
-section and removable with :func:`prune_suppressions`
-(``--prune-suppressions``).
+rule no longer fires on their line, or that name no rule in the pack,
+are reported in the ``stale`` section and removable with
+:func:`prune_suppressions` (``--prune-suppressions``).
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ __all__ = [
     "run_lint",
     "apply_suppressions",
     "prune_suppressions",
-    "load_literal_dict_manifest",
-    "manifest_entry_problem",
 ]
 
 #: Rule code reserved for files the engine itself cannot parse.
@@ -201,9 +198,9 @@ class FileContext:
 class Project:
     """Everything one lint run can see: parsed files plus the repo root.
 
-    *root* anchors the cross-file rules (the no-false-dismissal manifest
-    under ``tests/``, the dead-export reference corpus spanning
-    ``src``/``tests``/``benchmarks``/``docs``).
+    *root* anchors the cross-file rules (the dead-export reference
+    corpus spanning ``src``/``tests``/``benchmarks``/``docs``, the
+    charge-accounting corpus under ``tests/``).
     """
 
     #: Directories (relative to root) scanned for cross-reference files.
@@ -417,15 +414,20 @@ def _relative(path: Path, root: Path) -> str:
 
 
 def _stale_suppressions(
-    project: Project, findings: Sequence[Violation], executed: frozenset[str]
+    project: Project,
+    findings: Sequence[Violation],
+    executed: frozenset[str],
+    known: frozenset[str],
 ) -> list[StaleSuppression]:
-    """Waivers whose rule ran but produced nothing on their anchor.
+    """Waivers that silence nothing on their anchor.
 
     *findings* is the pre-suppression set: a waiver that silences a
-    still-firing finding is live, not stale.  Codes outside *executed*
-    (the rules this run actually exercised, plus RL000) are never
-    reported stale — a restricted ``--rules`` run cannot tell whether
-    the waived rule would fire.
+    still-firing finding is live, not stale.  A known code outside
+    *executed* (the rules this run actually exercised, plus RL000) is
+    never reported stale — a restricted ``--rules`` run cannot tell
+    whether the waived rule would fire.  A code outside *known* names
+    no rule at all (a typo, or a retired rule), so it is stale on every
+    run.
     """
     by_line: dict[tuple[str, int], set[str]] = {}
     by_file: dict[str, set[str]] = {}
@@ -434,24 +436,24 @@ def _stale_suppressions(
             violation.rule
         )
         by_file.setdefault(violation.path, set()).add(violation.rule)
+
+    def is_stale(code: str, fired: set[str]) -> bool:
+        if code == "all":
+            return not fired
+        if code not in known:
+            return True
+        return code in executed and code not in fired
+
     stale: list[StaleSuppression] = []
     for ctx in project.files:
         for line in sorted(ctx.suppressions):
             fired = by_line.get((ctx.rel, line), set())
             for code in sorted(ctx.suppressions[line]):
-                if code == "all":
-                    if not fired:
-                        stale.append(
-                            StaleSuppression(ctx.rel, line, code, "line")
-                        )
-                elif code in executed and code not in fired:
+                if is_stale(code, fired):
                     stale.append(StaleSuppression(ctx.rel, line, code, "line"))
         file_fired = by_file.get(ctx.rel, set())
         for code, line in sorted(ctx.file_suppression_lines.items()):
-            if code == "all":
-                if not file_fired:
-                    stale.append(StaleSuppression(ctx.rel, line, code, "file"))
-            elif code in executed and code not in file_fired:
+            if is_stale(code, file_fired):
                 stale.append(StaleSuppression(ctx.rel, line, code, "file"))
     return sorted(stale)
 
@@ -471,7 +473,8 @@ def run_lint(
     forces the semantic graph onto the report even when no active rule
     needs it (the ``--graph`` export path).
     """
-    from .rules import make_rules  # deferred: rules import this module
+    # Deferred: the rules import this module.
+    from .rules import RULES_BY_CODE, make_rules
 
     if not paths:
         raise ValidationError("at least one lint path is required")
@@ -538,7 +541,12 @@ def run_lint(
         rules=[rule.code for rule in active_rules],
         violations=active,
         suppressed=suppressed,
-        stale=_stale_suppressions(project, ordered, executed),
+        stale=_stale_suppressions(
+            project,
+            ordered,
+            executed,
+            frozenset(RULES_BY_CODE) | {PARSE_ERROR_CODE},
+        ),
         graph=graph,
     )
 
@@ -687,92 +695,6 @@ def prune_suppressions(report: LintReport) -> list[Path]:
             path.write_text("\n".join(kept_lines) + trailing)
             changed.append(path)
     return changed
-
-
-def load_literal_dict_manifest(
-    root: Path, manifest_rel: str, manifest_var: str
-) -> tuple[dict[str, str] | None, str | None]:
-    """``(registry, error)`` from a literal str->str dict manifest file.
-
-    The manifest convention shared by the registry cross-reference rules
-    (RL001's no-false-dismissal registry, RL009's kernel-parity
-    registry): a ``tests/``-side module assigns *manifest_var* a plain
-    dict literal, read here with :func:`ast.literal_eval` — the manifest
-    is never imported, so it stays checkable on unimportable trees.
-    """
-    path = root / manifest_rel
-    if not path.is_file():
-        return None, f"manifest {manifest_rel} not found"
-    try:
-        tree = ast.parse(path.read_text(), filename=str(path))
-    except (OSError, SyntaxError) as error:
-        return None, f"manifest {manifest_rel} is unreadable: {error}"
-    for node in tree.body:
-        targets: list[ast.expr]
-        value_node: ast.expr
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-            value_node = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value_node = node.value
-        else:
-            continue
-        if not any(
-            isinstance(target, ast.Name) and target.id == manifest_var
-            for target in targets
-        ):
-            continue
-        try:
-            value = ast.literal_eval(value_node)
-        except ValueError:
-            return None, (
-                f"manifest {manifest_rel}: {manifest_var} "
-                "must be a literal dict"
-            )
-        if not isinstance(value, dict) or not all(
-            isinstance(k, str) and isinstance(v, str)
-            for k, v in value.items()
-        ):
-            return None, (
-                f"manifest {manifest_rel}: {manifest_var} "
-                "must map names to test file paths"
-            )
-        return value, None
-    return None, f"manifest {manifest_rel} does not define {manifest_var}"
-
-
-def manifest_entry_problem(
-    root: Path, registry: dict[str, str], name: str, manifest_rel: str
-) -> str | None:
-    """Why *name*'s manifest entry fails to vouch for it, or ``None``.
-
-    Checks the three liveness conditions a registry entry must satisfy:
-    the entry exists, the mapped test file exists, and that file
-    actually references *name* as a whole word.
-    """
-    test_rel = registry.get(name)
-    if test_rel is None:
-        return f"not registered in {manifest_rel}"
-    test_path = root / test_rel
-    if not test_path.is_file():
-        return f"maps to missing test file {test_rel!r} in {manifest_rel}"
-    try:
-        text = test_path.read_text()
-    except OSError as err:
-        return f"registered test {test_rel!r} is unreadable: {err}"
-    if not re.search(rf"\b{re.escape(name)}\b", text):
-        return f"registered test {test_rel!r} never references {name!r}"
-    return None
-
-
-def iter_module_functions(
-    tree: ast.Module,
-) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Top-level function definitions of a module (helper for rules)."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def dotted_all_entries(tree: ast.Module) -> list[tuple[str, ast.expr]]:

@@ -1,11 +1,9 @@
 """RL013 — lock discipline over the whole concurrent call graph.
 
-RL002 protects the query path one file at a time: it only sees
-``self.method()`` edges inside ``QueryEngine`` / ``ShardedDatabase``.
-But the shard thread pool does not stop at a class boundary — a
+The shard thread pool does not stop at a class boundary — a
 ``search`` call flows into the cascade, the store, the kernel registry,
-and any of those can hide an unguarded write.  This rule closes the
-check over the semantic call graph: every function reachable from a
+and any of those can hide an unguarded write.  This rule checks the
+whole semantic call graph: every function reachable from a
 ``query``, ``executor`` or ``worker`` entry point is a function some
 thread pool or spawned process may run concurrently, so every mutable
 attribute or global it writes must be
@@ -33,17 +31,115 @@ from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from ..engine import Project, Rule, Violation
-from .rl002_shared_state import (
-    _LOCK_FACTORIES,
-    _THREAD_SAFE_FACTORIES,
-    _WriteCollector,
-    _self_attr,
-)
 
 if TYPE_CHECKING:
     from ..semantics import ClassSymbol, FunctionSymbol, SemanticGraph
 
 __all__ = ["LockDisciplineRule"]
+
+#: Constructor origins that make an attribute safe to mutate per thread.
+_THREAD_SAFE_FACTORIES = frozenset(
+    {"threading.local", "contextvars.ContextVar"}
+)
+
+#: Constructor origins that mark an attribute as a lock object.
+_LOCK_FACTORIES = frozenset(
+    {"threading.Lock", "threading.RLock", "threading.Condition",
+     "threading.Semaphore", "threading.BoundedSemaphore"}
+)
+
+
+def _self_attr(node: ast.expr) -> str | None:
+    """``attr`` when *node* is exactly ``self.attr``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _root_self_attr(node: ast.expr) -> str | None:
+    """The first attribute after ``self`` in a dotted/subscripted chain.
+
+    ``self._last.stats`` -> ``_last``; ``self._assign[gid]`` ->
+    ``_assign``; anything not rooted at ``self`` -> ``None``.
+    """
+    current = node
+    while isinstance(current, (ast.Attribute, ast.Subscript)):
+        parent = current.value
+        if isinstance(current, ast.Attribute) and isinstance(
+            parent, ast.Name
+        ) and parent.id == "self":
+            return current.attr
+        current = parent
+    return None
+
+
+class _WriteCollector(ast.NodeVisitor):
+    """Collects unguarded ``self.*`` writes inside one method body."""
+
+    def __init__(
+        self, safe_attrs: frozenset[str], lock_attrs: frozenset[str]
+    ) -> None:
+        self.safe_attrs = safe_attrs
+        self.lock_attrs = lock_attrs
+        self.lock_depth = 0
+        self.writes: list[tuple[ast.expr, str]] = []
+
+    def _is_lock_guard(self, item: ast.withitem) -> bool:
+        attr = _self_attr(item.context_expr)
+        return attr is not None and attr in self.lock_attrs
+
+    def visit_With(self, node: ast.With) -> None:
+        guarded = any(self._is_lock_guard(item) for item in node.items)
+        if guarded:
+            self.lock_depth += 1
+        self.generic_visit(node)
+        if guarded:
+            self.lock_depth -= 1
+
+    def _check_target(self, target: ast.expr) -> None:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self._check_target(element)
+            return
+        if isinstance(target, ast.Starred):
+            self._check_target(target.value)
+            return
+        root = _root_self_attr(target)
+        if root is None:
+            return
+        if root in self.safe_attrs or root in self.lock_attrs:
+            return
+        if self.lock_depth > 0:
+            return
+        self.writes.append((target, root))
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            self._check_target(target)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_target(node.target)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._check_target(node.target)
+        self.generic_visit(node)
+
+    # Nested function/class definitions start a fresh ``self`` scope.
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        return None
+
+    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
+        return None
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        return None
+
 
 #: Entry-point kinds whose closure runs under concurrency.
 _CONCURRENT_KINDS = ("query", "executor", "worker")
@@ -163,9 +259,8 @@ class LockDisciplineRule(Rule):
     ) -> tuple[frozenset[str], frozenset[str]]:
         """``(thread-safe attrs, lock attrs)`` across the class MRO.
 
-        Unlike RL002's per-file scan this walks base classes in other
-        modules, resolving factory origins through each defining file's
-        own import table.
+        Walks base classes in other modules too, resolving factory
+        origins through each defining file's own import table.
         """
         safe: set[str] = set()
         locks: set[str] = set()
@@ -224,7 +319,7 @@ class LockDisciplineRule(Rule):
         if cls.key not in attr_classes:
             attr_classes[cls.key] = self._classify_attrs(graph, cls)
         safe, locks = attr_classes[cls.key]
-        collector = _WriteCollector(fn.ctx, safe, locks)
+        collector = _WriteCollector(safe, locks)
         for stmt in fn.node.body:
             collector.visit(stmt)
         for target, root in collector.writes:

@@ -9,12 +9,9 @@ ambient :mod:`repro.obs.metrics` helpers, the same surface RL005
 validates — and requires each charged name to *resolve* into at least
 one accounting artifact:
 
-* a parity/regression suite under ``tests/`` referencing the name,
+* a parity/regression suite under ``tests/`` referencing the name, or
 * a bench baseline (``BENCH_*.json`` at the repo root or
-  ``benchmarks/_baselines/*.json``), or
-* the ``tests/obs/charge_manifest.py`` literal manifest
-  (``CHARGE_ACCOUNTING_REGISTRY``), whose entries are themselves
-  checked for liveness like RL001's.
+  ``benchmarks/_baselines/*.json``).
 
 F-string charges are matched by skeleton: each formatted value becomes
 a one-segment wildcard, so ``f"cascade.{tier}.pruned"`` is accounted by
@@ -35,14 +32,7 @@ from collections.abc import Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..engine import (
-    FileContext,
-    Project,
-    Rule,
-    Violation,
-    load_literal_dict_manifest,
-    manifest_entry_problem,
-)
+from ..engine import FileContext, Project, Rule, Violation
 from .rl005_metric_names import _receiver_name
 
 if TYPE_CHECKING:
@@ -65,9 +55,6 @@ _PLACEHOLDER = "*"
 
 #: What one placeholder may stand for inside a name segment.
 _WILDCARD = r"[a-z0-9_\-\[\]]+"
-
-_MANIFEST_REL = "tests/obs/charge_manifest.py"
-_MANIFEST_VAR = "CHARGE_ACCOUNTING_REGISTRY"
 
 
 def _charge_skeleton(node: ast.expr) -> str | None:
@@ -117,20 +104,17 @@ def _is_charge_call(ctx: FileContext, call: ast.Call) -> bool:
 
 class ChargeAccountingRule(Rule):
     code = "RL014"
-    title = "charged metrics must resolve to a test, baseline or manifest"
+    title = "charged metrics must resolve to a test or bench baseline"
     rationale = (
         "a metric nothing asserts on drifts silently; every charge "
-        "must be pinned by a parity suite, bench baseline, or the "
-        "charge manifest (DESIGN.md par.9)"
+        "must be pinned by a parity suite or bench baseline "
+        "(DESIGN.md par.9)"
     )
 
     def check_project(
         self, graph: "SemanticGraph", project: Project
     ) -> Iterator[Violation]:
         corpus = self._accounting_corpus(project.root)
-        registry, _error = load_literal_dict_manifest(
-            project.root, _MANIFEST_REL, _MANIFEST_VAR
-        )
         for ctx in project.files:
             if not ctx.rel.startswith("src/"):
                 continue
@@ -144,23 +128,23 @@ class ChargeAccountingRule(Rule):
                     continue
                 if skeleton.rsplit(".", 1)[-1] == "seconds":
                     continue  # the one sanctioned parity exclusion
-                if self._accounted(skeleton, corpus, registry, project.root):
+                pattern = _skeleton_pattern(skeleton)
+                if any(pattern.search(text) for text in corpus):
                     continue
                 display = skeleton.replace(_PLACEHOLDER, "{...}")
                 yield self.violation(
                     ctx,
                     node.args[0],
                     f"charged metric {display!r} resolves to no parity "
-                    "suite under tests/, no bench baseline "
-                    "(BENCH_*.json, benchmarks/_baselines/) and no "
-                    f"{_MANIFEST_REL} entry; account for it or use the "
-                    "'.seconds' timing convention",
+                    "suite under tests/ and no bench baseline "
+                    "(BENCH_*.json, benchmarks/_baselines/); account for "
+                    "it or use the '.seconds' timing convention",
                 )
 
     # -- accounting corpus ---------------------------------------------------
 
-    def _accounting_corpus(self, root: Path) -> list[tuple[str, str]]:
-        """``(rel path, text)`` of every accounting artifact, sorted."""
+    def _accounting_corpus(self, root: Path) -> list[str]:
+        """The text of every accounting artifact, in path order."""
         paths: list[Path] = []
         tests = root / "tests"
         if tests.is_dir():
@@ -169,33 +153,10 @@ class ChargeAccountingRule(Rule):
         baselines = root / "benchmarks" / "_baselines"
         if baselines.is_dir():
             paths.extend(sorted(baselines.glob("*.json")))
-        corpus: list[tuple[str, str]] = []
+        corpus: list[str] = []
         for path in paths:
             try:
-                corpus.append(
-                    (path.relative_to(root).as_posix(), path.read_text())
-                )
+                corpus.append(path.read_text())
             except (OSError, UnicodeDecodeError):
                 continue
         return corpus
-
-    def _accounted(
-        self,
-        skeleton: str,
-        corpus: list[tuple[str, str]],
-        registry: dict[str, str] | None,
-        root: Path,
-    ) -> bool:
-        pattern = _skeleton_pattern(skeleton)
-        if any(pattern.search(text) for _rel, text in corpus):
-            return True
-        if registry is not None:
-            for name in registry:
-                if pattern.fullmatch(name) is None:
-                    continue
-                if (
-                    manifest_entry_problem(root, registry, name, _MANIFEST_REL)
-                    is None
-                ):
-                    return True
-        return False

@@ -1,10 +1,9 @@
 """The whole-program semantic core behind the cross-module lint rules.
 
-``repro lint``'s original rules see one file at a time (plus literal
-manifests), which cannot express the invariants the codebase actually
-depends on: *transitive* lock discipline across the executor plane,
-*reachable* charge accounting, ReproError-only raise-sets *closed over
-calls*, and cascade tiers that are wired **and** property-tested.  This
+``repro lint``'s per-file rules see one file at a time, which cannot
+express the invariants the codebase actually depends on: *transitive*
+lock discipline across the executor plane, *reachable* charge
+accounting, and ReproError-only raise-sets *closed over calls*.  This
 package supplies the three layers those rules share:
 
 * :mod:`~repro.lint.semantics.modules` — the project-wide import/module
@@ -42,7 +41,6 @@ from .symbols import (
     ModuleSymbol,
     Symbol,
     SymbolTable,
-    ValueSymbol,
 )
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "SemanticGraph",
     "Symbol",
     "SymbolTable",
-    "ValueSymbol",
     "build_graph",
     "find_entry_points",
     "graph_to_dict",

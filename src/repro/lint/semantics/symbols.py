@@ -28,7 +28,6 @@ __all__ = [
     "ModuleSymbol",
     "Symbol",
     "SymbolTable",
-    "ValueSymbol",
 ]
 
 FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef

@@ -58,9 +58,9 @@ _QUERY_SEQ = itertools.count()
 class QueryRecord:
     """One query's structured accounting record (JSONL line).
 
-    Every field declared here must appear in the schema manifest
-    (``tests/obs/querylog_manifest.py``) mapping it to the test that
-    exercises it — lint rule RL012 enforces the link.
+    Every field is a schema commitment: ``tests/obs/test_querylog.py``
+    round-trips each one through :class:`QueryLogWriter` and
+    :func:`load_querylog`.
     """
 
     schema_version: int

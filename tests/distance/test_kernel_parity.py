@@ -1,28 +1,22 @@
 """Differential kernel-parity suite — every kernel vs ``reference``.
 
-This is the suite the ``tests/distance/kernel_manifest.py`` registry
-points at (and ``repro lint`` rule RL009 enforces the pointing).  Every
-kernel registered in ``KERNELS`` is run side by side with the
+Every kernel :func:`available_kernels` reports is run side by side with the
 ``reference`` kernel on hypothesis-generated inputs — including empty,
 length-1, constant, extreme-magnitude, banded-window, and
 early-abandon-threshold cases — and must agree **bit-exactly**: same
 distances, byte-identical accumulated matrices (hence identical warping
 paths), and identical metric charges (``dtw.cells``,
 ``dtw.early_abandons``, the ``dtw.abandon_depth`` histogram), captured
-through a fresh registry per run.
-
-The suite also closes the loop the static rule cannot: stale manifest
-entries (keys naming no registered kernel) fail here at run time, with
-``OPTIONAL_KERNELS`` exempt because their registration is conditional
-on an optional dependency being importable.
+through a fresh registry per run.  The kernel list is read from the
+live registry, so a newly registered kernel is pinned without any
+further bookkeeping; ``OPTIONAL_KERNELS`` (``numba``) join only where
+their dependency imports.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import math
-from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
@@ -74,8 +68,6 @@ def exercise_wavefront(monkeypatch: pytest.MonkeyPatch) -> None:
     """
     monkeypatch.setattr(vectorized_module, "_WAVEFRONT_MIN_CELLS", 0)
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-
 #: The shipped delegation threshold, captured before the autouse patch.
 _REAL_MIN_CELLS = vectorized_module._WAVEFRONT_MIN_CELLS
 
@@ -100,16 +92,6 @@ extreme_sequences = st.lists(extreme_elements, min_size=1, max_size=8)
 thresholds = st.one_of(st.none(), st.floats(min_value=0, max_value=80))
 radii = st.integers(min_value=0, max_value=4)
 bases = st.sampled_from([L1, L2])
-
-
-def _load_manifest() -> dict[str, str]:
-    spec = importlib.util.spec_from_file_location(
-        "kernel_manifest", REPO_ROOT / "tests" / "distance" / "kernel_manifest.py"
-    )
-    assert spec is not None and spec.loader is not None
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return dict(module.KERNEL_PARITY_REGISTRY)
 
 
 def _canonical(value: Any) -> Any:
@@ -148,22 +130,7 @@ def assert_kernel_parity(kernel: str, op: Callable[[], Any]) -> None:
     assert actual[2] == expected[2], f"{kernel}: abandon-depth charges diverged"
 
 
-class TestManifestIntegrity:
-    def test_every_registered_kernel_has_a_manifest_entry(self) -> None:
-        manifest = _load_manifest()
-        missing = set(KERNELS) - set(manifest)
-        assert not missing, f"kernels without parity manifest entry: {missing}"
-
-    def test_no_stale_manifest_entries(self) -> None:
-        """Keys naming no kernel fail, modulo the optional registrations."""
-        manifest = _load_manifest()
-        stale = set(manifest) - set(KERNELS) - set(OPTIONAL_KERNELS)
-        assert not stale, f"manifest entries naming no kernel: {stale}"
-
-    def test_manifest_files_exist(self) -> None:
-        for name, rel in _load_manifest().items():
-            assert (REPO_ROOT / rel).is_file(), f"{name}: missing {rel}"
-
+class TestKernelRegistry:
     def test_reference_is_registered_and_is_the_oracle(self) -> None:
         assert isinstance(get_kernel("reference"), ReferenceKernel)
         assert DEFAULT_KERNEL in KERNELS

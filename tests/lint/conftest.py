@@ -52,7 +52,7 @@ def graph_project(tmp_path):
             path.write_text(textwrap.dedent(text))
         report = run_lint(
             [tmp_path / "src"],
-            rules=["RL001"],
+            rules=["RL007"],
             root=tmp_path,
             want_graph=True,
         )

@@ -235,17 +235,32 @@ class TestStaleSuppressions:
         assert (stale.rule, stale.line) == ("RL004", 1)
 
     def test_unexecuted_rule_code_is_never_stale(self, lint_project) -> None:
-        # RL013 did not run, so its waiver cannot be judged stale; the
-        # made-up RL999 is outside the pack entirely and also skipped.
+        # RL013 did not run, so its waiver cannot be judged stale.
         report = lint_project(
-            {
-                "src/pkg/mod.py": (
-                    "X = 1  # repro-lint: disable=RL013,RL999\n"
-                )
-            },
+            {"src/pkg/mod.py": "X = 1  # repro-lint: disable=RL013\n"},
             rules=["RL004"],
         )
         assert report.stale == []
+
+    @pytest.mark.parametrize("rules", [None, ["RL004"], ["RL013"]])
+    def test_unknown_rule_code_is_always_stale(
+        self, lint_project, rules
+    ) -> None:
+        # No rule in the pack has these codes (RL009 is retired, RL099
+        # never existed), so no --rules selection can make them live.
+        report = lint_project(
+            {
+                "src/pkg/mod.py": (
+                    "# repro-lint: disable-file=RL009\n"
+                    "X = 1  # repro-lint: disable=RL099\n"
+                )
+            },
+            rules=rules,
+        )
+        assert report.stale == [
+            StaleSuppression("src/pkg/mod.py", 1, "RL009", "file"),
+            StaleSuppression("src/pkg/mod.py", 2, "RL099", "line"),
+        ]
 
 
 class TestPruneSuppressions:
@@ -297,6 +312,22 @@ class TestPruneSuppressions:
         again = run_lint(
             [report.root / "src"], rules=["RL004"], root=report.root
         )
+        assert again.stale == []
+        assert again.exit_code == 0
+
+    def test_unknown_code_is_pruned_beside_a_live_one(
+        self, lint_project
+    ) -> None:
+        source = """\
+        def f(x):
+            raise ValueError(x)  # repro-lint: disable=RL004,RL999
+        """
+        report = lint_project({"src/pkg/mod.py": source})
+        assert [s.rule for s in report.stale] == ["RL999"]
+        prune_suppressions(report)
+        text = (report.root / "src/pkg/mod.py").read_text()
+        assert "# repro-lint: disable=RL004\n" in text
+        again = run_lint([report.root / "src"], root=report.root)
         assert again.stale == []
         assert again.exit_code == 0
 
@@ -419,7 +450,7 @@ class TestCli:
                 "lint",
                 str(root / "src"),
                 "--rules",
-                "RL001",
+                "RL007",
                 "--graph",
                 str(out),
             ]
@@ -434,7 +465,7 @@ class TestCli:
         root = self._project(tmp_path, "def f():\n    return 1\n")
         out = tmp_path / "graph.dot"
         code = repro_main(
-            ["lint", str(root / "src"), "--rules", "RL001", "--graph", str(out)]
+            ["lint", str(root / "src"), "--rules", "RL007", "--graph", str(out)]
         )
         assert code == 0
         assert out.read_text().startswith("digraph callgraph {")
@@ -462,6 +493,9 @@ class TestShippedTree:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0, doc["violations"]
         assert doc["summary"]["violations"] == 0
-        assert doc["rules"] == [f"RL{n:03d}" for n in range(1, 17)]
+        assert doc["rules"] == [
+            "RL003", "RL004", "RL005", "RL006", "RL007",
+            "RL008", "RL010", "RL013", "RL014", "RL015",
+        ]
         assert doc["summary"]["stale"] == 0
         assert doc["files_checked"] > 50

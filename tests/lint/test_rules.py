@@ -10,17 +10,15 @@ from __future__ import annotations
 from repro.lint import ALL_RULES, RULES_BY_CODE
 from repro.lint.rules import (
     BenchSeedRule,
+    ChargeAccountingRule,
     DeadExportRule,
     DeterminismRule,
+    ExceptionContractRule,
     ExceptionDomainRule,
     HotLoopAllocationRule,
-    KernelManifestRule,
+    LockDisciplineRule,
     MetricNameRule,
-    NfdRegistryRule,
-    SharedStateRule,
-    QuerylogSchemaRule,
     SpawnSafetyRule,
-    StoreManifestRule,
 )
 
 from .conftest import by_rule, codes
@@ -29,154 +27,23 @@ from .conftest import by_rule, codes
 class TestRulePack:
     def test_all_rules_are_registered_by_code(self) -> None:
         assert [rule.code for rule in ALL_RULES] == [
-            f"RL{n:03d}" for n in range(1, 17)
+            "RL003", "RL004", "RL005", "RL006", "RL007",
+            "RL008", "RL010", "RL013", "RL014", "RL015",
         ]
-        assert RULES_BY_CODE["RL001"] is NfdRegistryRule
-        assert RULES_BY_CODE["RL002"] is SharedStateRule
         assert RULES_BY_CODE["RL003"] is DeterminismRule
         assert RULES_BY_CODE["RL004"] is ExceptionDomainRule
         assert RULES_BY_CODE["RL005"] is MetricNameRule
         assert RULES_BY_CODE["RL006"] is HotLoopAllocationRule
         assert RULES_BY_CODE["RL007"] is DeadExportRule
         assert RULES_BY_CODE["RL008"] is BenchSeedRule
-        assert RULES_BY_CODE["RL009"] is KernelManifestRule
         assert RULES_BY_CODE["RL010"] is SpawnSafetyRule
-        assert RULES_BY_CODE["RL011"] is StoreManifestRule
-        assert RULES_BY_CODE["RL012"] is QuerylogSchemaRule
+        assert RULES_BY_CODE["RL013"] is LockDisciplineRule
+        assert RULES_BY_CODE["RL014"] is ChargeAccountingRule
+        assert RULES_BY_CODE["RL015"] is ExceptionContractRule
 
     def test_every_rule_declares_title_and_rationale(self) -> None:
         for rule in ALL_RULES:
             assert rule.title and rule.rationale
-
-
-class TestRL001NfdRegistry:
-    def test_unregistered_bound_is_flagged(self, lint_project) -> None:
-        report = lint_project(
-            {"src/pkg/bounds.py": "def lb_test(s, q):\n    return 0.0\n"},
-            rules=["RL001"],
-        )
-        assert codes(report) == ["RL001"]
-        assert "manifest" in report.violations[0].message
-
-    def test_registered_and_referenced_bound_passes(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/bounds.py": "def lb_test(s, q):\n    return 0.0\n",
-                "tests/nfd_manifest.py": (
-                    'NO_FALSE_DISMISSAL_REGISTRY = {"lb_test": "tests/test_b.py"}\n'
-                ),
-                "tests/test_b.py": "from pkg.bounds import lb_test\n",
-            },
-            rules=["RL001"],
-        )
-        assert codes(report) == []
-
-    def test_mapped_test_must_reference_the_bound(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/bounds.py": "def lb_test(s, q):\n    return 0.0\n",
-                "tests/nfd_manifest.py": (
-                    'NO_FALSE_DISMISSAL_REGISTRY = {"lb_test": "tests/test_b.py"}\n'
-                ),
-                "tests/test_b.py": "def test_unrelated():\n    pass\n",
-            },
-            rules=["RL001"],
-        )
-        assert "never references" in by_rule(report, "RL001")[0]
-
-    def test_tier_constants_require_registration(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/tiers.py": 'TIER_NEW = "lb_new"\n',
-                "tests/nfd_manifest.py": "NO_FALSE_DISMISSAL_REGISTRY = {}\n",
-            },
-            rules=["RL001"],
-        )
-        assert "lb_new" in by_rule(report, "RL001")[0]
-
-
-class TestRL002SharedState:
-    def test_unguarded_write_on_query_path_is_flagged(
-        self, lint_project
-    ) -> None:
-        report = lint_project(
-            {
-                "src/pkg/engine.py": """\
-                class QueryEngine:
-                    def __init__(self):
-                        self._cache = None
-
-                    def search(self, q):
-                        self._cache = q
-                        return self._cache
-                """
-            },
-            rules=["RL002"],
-        )
-        assert codes(report) == ["RL002"]
-        assert "_cache" in report.violations[0].message
-
-    def test_lock_guarded_write_passes(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/engine.py": """\
-                import threading
-
-                class QueryEngine:
-                    def __init__(self):
-                        self._cache = None
-                        self._lock = threading.Lock()
-
-                    def search(self, q):
-                        with self._lock:
-                            self._cache = q
-                        return self._cache
-                """
-            },
-            rules=["RL002"],
-        )
-        assert codes(report) == []
-
-    def test_thread_local_attribute_passes(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/engine.py": """\
-                import threading
-
-                class ShardedDatabase:
-                    def __init__(self):
-                        self._last = threading.local()
-
-                    def knn(self, q, k):
-                        self._last.result = (q, k)
-                        return self._last.result
-                """
-            },
-            rules=["RL002"],
-        )
-        assert codes(report) == []
-
-    def test_write_in_helper_reached_from_search_is_flagged(
-        self, lint_project
-    ) -> None:
-        report = lint_project(
-            {
-                "src/pkg/engine.py": """\
-                class QueryEngine:
-                    def __init__(self):
-                        self._hits = 0
-
-                    def search(self, q):
-                        self._bump()
-                        return q
-
-                    def _bump(self):
-                        self._hits += 1
-                """
-            },
-            rules=["RL002"],
-        )
-        assert codes(report) == ["RL002"]
 
 
 class TestRL003Determinism:
@@ -464,233 +331,6 @@ class TestRL008BenchSeeds:
         assert codes(report) == []
 
 
-class TestRL009KernelManifest:
-    KERNEL_SRC = (
-        "from pkg.registry import register_kernel\n"
-        "class FastKernel:\n"
-        '    name = "fast"\n'
-        'register_kernel("fast", FastKernel())\n'
-    )
-
-    def test_unregistered_kernel_is_flagged(self, lint_project) -> None:
-        report = lint_project(
-            {"src/pkg/kern.py": self.KERNEL_SRC},
-            rules=["RL009"],
-        )
-        assert codes(report) == ["RL009"]
-        assert "manifest" in report.violations[0].message
-
-    def test_registered_and_referenced_kernel_passes(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/kern.py": self.KERNEL_SRC,
-                "tests/distance/kernel_manifest.py": (
-                    'KERNEL_PARITY_REGISTRY = {"fast": "tests/test_k.py"}\n'
-                ),
-                "tests/test_k.py": 'def test_fast_parity():\n    assert "fast"\n',
-            },
-            rules=["RL009"],
-        )
-        assert codes(report) == []
-
-    def test_mapped_test_must_reference_the_kernel(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/kern.py": self.KERNEL_SRC,
-                "tests/distance/kernel_manifest.py": (
-                    'KERNEL_PARITY_REGISTRY = {"fast": "tests/test_k.py"}\n'
-                ),
-                "tests/test_k.py": "def test_unrelated():\n    pass\n",
-            },
-            rules=["RL009"],
-        )
-        assert "never references" in by_rule(report, "RL009")[0]
-
-    def test_missing_mapped_file_is_flagged(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/kern.py": self.KERNEL_SRC,
-                "tests/distance/kernel_manifest.py": (
-                    'KERNEL_PARITY_REGISTRY = {"fast": "tests/test_gone.py"}\n'
-                ),
-            },
-            rules=["RL009"],
-        )
-        assert "missing test file" in by_rule(report, "RL009")[0]
-
-    def test_non_literal_registration_name_is_flagged(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/kern.py": (
-                    "from pkg.registry import register_kernel\n"
-                    'NAME = "fast"\n'
-                    "register_kernel(NAME, object())\n"
-                ),
-                "tests/distance/kernel_manifest.py": (
-                    "KERNEL_PARITY_REGISTRY = {}\n"
-                ),
-            },
-            rules=["RL009"],
-        )
-        assert "string literal" in by_rule(report, "RL009")[0]
-
-    def test_direct_registry_assignment_requires_manifest_entry(
-        self, lint_project
-    ) -> None:
-        report = lint_project(
-            {
-                "src/pkg/kern.py": (
-                    "from pkg.registry import KERNELS\n"
-                    'KERNELS["direct"] = object()\n'
-                ),
-                "tests/distance/kernel_manifest.py": (
-                    "KERNEL_PARITY_REGISTRY = {}\n"
-                ),
-            },
-            rules=["RL009"],
-        )
-        assert "direct" in by_rule(report, "RL009")[0]
-
-    def test_non_literal_registry_key_is_flagged(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/kern.py": (
-                    "from pkg.registry import KERNELS\n"
-                    'key = "fast"\n'
-                    "KERNELS[key] = object()\n"
-                ),
-                "tests/distance/kernel_manifest.py": (
-                    "KERNEL_PARITY_REGISTRY = {}\n"
-                ),
-            },
-            rules=["RL009"],
-        )
-        assert "string literal" in by_rule(report, "RL009")[0]
-
-
-class TestRL011StoreManifest:
-    STORE_SRC = (
-        "from pkg.registry import register_store\n"
-        "@register_store\n"
-        "class ColdStore:\n"
-        '    name = "cold"\n'
-    )
-
-    def test_unregistered_store_is_flagged(self, lint_project) -> None:
-        report = lint_project(
-            {"src/pkg/cold.py": self.STORE_SRC},
-            rules=["RL011"],
-        )
-        assert codes(report) == ["RL011"]
-        assert "manifest" in report.violations[0].message
-
-    def test_registered_and_referenced_store_passes(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/cold.py": self.STORE_SRC,
-                "tests/storage/store_manifest.py": (
-                    'STORE_PARITY_REGISTRY = {"cold": "tests/test_s.py"}\n'
-                ),
-                "tests/test_s.py": 'def test_cold_parity():\n    assert "cold"\n',
-            },
-            rules=["RL011"],
-        )
-        assert codes(report) == []
-
-    def test_mapped_test_must_reference_the_store(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/cold.py": self.STORE_SRC,
-                "tests/storage/store_manifest.py": (
-                    'STORE_PARITY_REGISTRY = {"cold": "tests/test_s.py"}\n'
-                ),
-                "tests/test_s.py": "def test_unrelated():\n    pass\n",
-            },
-            rules=["RL011"],
-        )
-        assert "never references" in by_rule(report, "RL011")[0]
-
-    def test_missing_mapped_file_is_flagged(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/cold.py": self.STORE_SRC,
-                "tests/storage/store_manifest.py": (
-                    'STORE_PARITY_REGISTRY = {"cold": "tests/test_gone.py"}\n'
-                ),
-            },
-            rules=["RL011"],
-        )
-        assert "missing test file" in by_rule(report, "RL011")[0]
-
-    def test_annotated_name_classvar_is_found(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/cold.py": (
-                    "from pkg.registry import register_store\n"
-                    "@register_store\n"
-                    "class ColdStore:\n"
-                    '    name: str = "cold"\n'
-                ),
-            },
-            rules=["RL011"],
-        )
-        assert codes(report) == ["RL011"]
-        assert "cold" in report.violations[0].message
-
-    def test_non_literal_name_classvar_is_flagged(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/cold.py": (
-                    "from pkg.registry import register_store\n"
-                    'COLD = "cold"\n'
-                    "@register_store\n"
-                    "class ColdStore:\n"
-                    "    name = COLD\n"
-                ),
-                "tests/storage/store_manifest.py": (
-                    "STORE_PARITY_REGISTRY = {}\n"
-                ),
-            },
-            rules=["RL011"],
-        )
-        assert "string literal" in by_rule(report, "RL011")[0]
-
-    def test_direct_registry_assignment_requires_manifest_entry(
-        self, lint_project
-    ) -> None:
-        report = lint_project(
-            {
-                "src/pkg/cold.py": (
-                    "from pkg.registry import STORES\n"
-                    'STORES["direct"] = object()\n'
-                ),
-                "tests/storage/store_manifest.py": (
-                    "STORE_PARITY_REGISTRY = {}\n"
-                ),
-            },
-            rules=["RL011"],
-        )
-        assert "direct" in by_rule(report, "RL011")[0]
-
-    def test_register_store_body_is_not_a_registration_site(
-        self, lint_project
-    ) -> None:
-        # The entry point's own ``STORES[cls.name] = cls`` write must
-        # not be flagged as a (non-literal) registration.
-        report = lint_project(
-            {
-                "src/pkg/registry.py": (
-                    "STORES = {}\n"
-                    "def register_store(cls):\n"
-                    "    STORES[cls.name] = cls\n"
-                    "    return cls\n"
-                ),
-            },
-            rules=["RL011"],
-        )
-        assert codes(report) == []
-
-
 class TestRL010SpawnSafety:
     WORKER_WIRING = """\
     import multiprocessing
@@ -846,99 +486,3 @@ class TestRL010SpawnSafety:
         assert codes(report) == []
 
 
-class TestRL012QuerylogSchema:
-    RECORD_SRC = (
-        "from dataclasses import dataclass\n"
-        "@dataclass(frozen=True)\n"
-        "class QueryRecord:\n"
-        "    schema_version: int\n"
-        "    result_count: int\n"
-    )
-    MANIFEST = (
-        "QUERYRECORD_FIELDS = {\n"
-        '    "schema_version": "tests/test_q.py",\n'
-        '    "result_count": "tests/test_q.py",\n'
-        "}\n"
-    )
-
-    def test_missing_manifest_flags_every_field(self, lint_project) -> None:
-        report = lint_project(
-            {"src/pkg/obs/querylog.py": self.RECORD_SRC},
-            rules=["RL012"],
-        )
-        assert codes(report) == ["RL012", "RL012"]
-        assert "not found" in report.violations[0].message
-
-    def test_registered_and_referenced_fields_pass(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/obs/querylog.py": self.RECORD_SRC,
-                "tests/obs/querylog_manifest.py": self.MANIFEST,
-                "tests/test_q.py": (
-                    "def test_round_trip():\n"
-                    '    assert "schema_version" and "result_count"\n'
-                ),
-            },
-            rules=["RL012"],
-        )
-        assert codes(report) == []
-
-    def test_unregistered_field_is_flagged(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/obs/querylog.py": (
-                    self.RECORD_SRC + "    surprise_field: str\n"
-                ),
-                "tests/obs/querylog_manifest.py": self.MANIFEST,
-                "tests/test_q.py": (
-                    "def test_round_trip():\n"
-                    '    assert "schema_version" and "result_count"\n'
-                ),
-            },
-            rules=["RL012"],
-        )
-        messages = by_rule(report, "RL012")
-        assert len(messages) == 1
-        assert "surprise_field" in messages[0]
-        assert "not registered" in messages[0]
-
-    def test_mapped_test_must_reference_the_field(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/obs/querylog.py": self.RECORD_SRC,
-                "tests/obs/querylog_manifest.py": self.MANIFEST,
-                "tests/test_q.py": (
-                    "def test_partial():\n"
-                    '    assert "schema_version"\n'
-                ),
-            },
-            rules=["RL012"],
-        )
-        messages = by_rule(report, "RL012")
-        assert len(messages) == 1
-        assert "result_count" in messages[0]
-        assert "never references" in messages[0]
-
-    def test_missing_mapped_file_is_flagged(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/obs/querylog.py": self.RECORD_SRC,
-                "tests/obs/querylog_manifest.py": self.MANIFEST,
-            },
-            rules=["RL012"],
-        )
-        messages = by_rule(report, "RL012")
-        assert len(messages) == 2
-        assert all("missing test file" in message for message in messages)
-
-    def test_other_classes_in_module_ignored(self, lint_project) -> None:
-        report = lint_project(
-            {
-                "src/pkg/obs/querylog.py": (
-                    "class QueryLogWriter:\n"
-                    "    path: str\n"
-                ),
-            },
-            rules=["RL012"],
-        )
-        assert codes(report) == []

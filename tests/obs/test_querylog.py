@@ -1,15 +1,15 @@
 """The structured query log: record schema, writer rotation, loader
 validation, and single-emission integration across the executors.
 
-This file is the schema manifest's round-trip witness: every field of
-:class:`QueryRecord` — schema_version, query_id, timestamp, kind,
-epsilon, k, backend, executor, store, shards, n_queries, stages,
-charges, latency, result_count — is exercised here, and lint rule
-RL012 checks the mapping in ``tests/obs/querylog_manifest.py``.
+The record is a persisted, schema-versioned format, so every field of
+:class:`QueryRecord` is a schema commitment: ``FIELD_SAMPLES`` must hold
+a non-default value for each field ``dataclasses.fields`` reports, and
+each one must survive a write/load round trip unchanged.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -33,7 +33,24 @@ from repro.obs.querylog import (
 )
 from repro.storage.database import SequenceDatabase
 
-from .querylog_manifest import QUERYRECORD_FIELDS
+#: A non-default value for every :class:`QueryRecord` field.
+FIELD_SAMPLES: dict[str, object] = {
+    "schema_version": SCHEMA_VERSION,
+    "query_id": "q00000042-7",
+    "timestamp": 1712345678.25,
+    "kind": "knn",
+    "epsilon": 0.75,
+    "k": 5,
+    "backend": "rstar",
+    "executor": "thread",
+    "store": "mmap",
+    "shards": 3,
+    "n_queries": 4,
+    "stages": ({"name": "lb_kim", "n_in": 40, "n_out": 9},),
+    "charges": {"dtw.cells": 512.0, "index.node_reads": 7.0},
+    "latency": {"total_seconds": 0.5, "cascade.lb_kim.seconds": 0.125},
+    "result_count": 5,
+}
 
 
 def _record(**overrides: object) -> QueryRecord:
@@ -66,14 +83,23 @@ def _workload(n: int = 24, seed: int = 5) -> list[np.ndarray]:
 
 
 class TestRecord:
-    def test_manifest_covers_every_field(self) -> None:
-        """The RL012 contract, asserted from the runtime side too: the
-        manifest keys are exactly the dataclass fields, and each maps
-        to this test file."""
-        assert set(QUERYRECORD_FIELDS) == set(REQUIRED_FIELDS)
-        assert set(QUERYRECORD_FIELDS.values()) == {
-            "tests/obs/test_querylog.py"
-        }
+    def test_every_field_round_trips(self, tmp_path) -> None:
+        """Each field, set to a non-default value, survives write + load."""
+        record_fields = dataclasses.fields(QueryRecord)
+        missing = {f.name for f in record_fields} - set(FIELD_SAMPLES)
+        assert not missing, f"QueryRecord fields without a sample: {missing}"
+        for field in record_fields:
+            if field.default is not dataclasses.MISSING:
+                assert FIELD_SAMPLES[field.name] != field.default, field.name
+        record = QueryRecord(**FIELD_SAMPLES)  # type: ignore[arg-type]
+        path = tmp_path / "queries.jsonl"
+        with QueryLogWriter(path) as writer:
+            assert writer.write(record)
+        (loaded,) = load_querylog(path)
+        for field in record_fields:
+            assert getattr(loaded, field.name) == getattr(record, field.name), (
+                field.name
+            )
 
     def test_to_dict_is_json_ready(self) -> None:
         payload = _record().to_dict()

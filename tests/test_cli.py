@@ -123,6 +123,28 @@ class TestQuery:
         assert rc == 0
         assert "seq 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        ("query", "message"),
+        [
+            ("100,abc", "--query value 'abc' is not a number"),
+            (" , ", "--query holds no values"),
+            ("@{missing}", "cannot read --query file"),
+        ],
+    )
+    def test_malformed_query_is_a_clean_error(
+        self, database_file, tmp_path, capsys, query, message
+    ):
+        query = query.format(missing=tmp_path / "absent.txt")
+        rc = main(
+            ["query", "--db", str(database_file), "--query", query,
+             "--epsilon", "1"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+
     def test_epsilon_and_knn_mutually_exclusive(self, database_file):
         with pytest.raises(SystemExit):
             main(
