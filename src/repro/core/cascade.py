@@ -208,6 +208,12 @@ class FeatureStore:
     :meth:`packed` / :meth:`from_packed`) without touching the cascade
     kernels.  Per-length ``(k, L)`` value matrices for the envelope
     tier are still materialized lazily.
+
+    A store built from a database records the database's
+    :attr:`~repro.storage.database.SequenceDatabase.mutation_count` in
+    :attr:`mutation_count`, which makes :meth:`matches` an O(1)
+    freshness check; a store built from loose sequences records
+    ``None`` and never matches a database.
     """
 
     __slots__ = (
@@ -217,6 +223,7 @@ class FeatureStore:
         "lengths",
         "offsets",
         "values_flat",
+        "mutation_count",
         "_row_of",
         "_groups",
         "_cache_lock",
@@ -225,7 +232,12 @@ class FeatureStore:
     #: The packed-array fields, in :meth:`packed` export order.
     PACKED_FIELDS = ("ids", "features", "lengths", "offsets", "values_flat")
 
-    def __init__(self, sequences: Iterable[SequenceLike]) -> None:
+    def __init__(
+        self,
+        sequences: Iterable[SequenceLike],
+        *,
+        mutation_count: int | None = None,
+    ) -> None:
         seqs: list[Sequence] = []
         for position, item in enumerate(sequences):
             seq = as_sequence(item)
@@ -249,7 +261,9 @@ class FeatureStore:
             features[row] = extract_feature(seq.values).as_tuple()
             values_flat[offsets[row] : offsets[row + 1]] = seq.values
         labels = [seq.label for seq in seqs]
-        self._adopt(ids, features, lengths, offsets, values_flat, labels)
+        self._adopt(
+            ids, features, lengths, offsets, values_flat, labels, mutation_count
+        )
 
     def _adopt(
         self,
@@ -259,9 +273,11 @@ class FeatureStore:
         offsets: np.ndarray,
         values_flat: np.ndarray,
         labels: list[str | None] | None = None,
+        mutation_count: int | None = None,
     ) -> None:
         """Bind the packed arrays and rebuild the zero-copy sequence views."""
         values_flat.flags.writeable = False
+        self.mutation_count = mutation_count
         self.ids = ids
         self.features = features
         self.lengths = lengths
@@ -312,12 +328,15 @@ class FeatureStore:
         lengths: np.ndarray,
         offsets: np.ndarray,
         values_flat: np.ndarray,
+        *,
+        mutation_count: int | None = None,
     ) -> "FeatureStore":
         """Re-host a store on existing packed arrays, zero-copy.
 
         The arrays are adopted as-is (they may be views into a
         :mod:`multiprocessing.shared_memory` buffer); no feature
-        extraction or concatenation runs.
+        extraction or concatenation runs.  *mutation_count* is the
+        database mutation count the arrays mirror, if known.
         """
         self = cls.__new__(cls)
         self._adopt(
@@ -326,6 +345,7 @@ class FeatureStore:
             np.asarray(lengths, dtype=np.int64),
             np.asarray(offsets, dtype=np.int64),
             np.asarray(values_flat, dtype=np.float64),
+            mutation_count=mutation_count,
         )
         return self
 
@@ -336,6 +356,8 @@ class FeatureStore:
         lengths: np.ndarray,
         offsets: np.ndarray,
         values_flat: np.ndarray,
+        *,
+        mutation_count: int | None = None,
     ) -> "FeatureStore":
         """Build a store over an existing dense element buffer, zero-copy.
 
@@ -347,7 +369,9 @@ class FeatureStore:
         max/min are exact regardless of association order and stored
         values are validated finite on insert.  *values_flat* is adopted
         as-is; it may be a read-only ``numpy.memmap`` over a store's
-        data file.
+        data file, or a view of the heap store's column.
+        *mutation_count* is the database mutation count the arrays
+        mirror, if known.
         """
         ids = np.asarray(ids, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -362,7 +386,14 @@ class FeatureStore:
             features[:, 2] = np.maximum.reduceat(values_flat, starts)
             features[:, 3] = np.minimum.reduceat(values_flat, starts)
         self = cls.__new__(cls)
-        self._adopt(ids, features, lengths, offsets, values_flat)
+        self._adopt(
+            ids,
+            features,
+            lengths,
+            offsets,
+            values_flat,
+            mutation_count=mutation_count,
+        )
         return self
 
     @classmethod
@@ -376,12 +407,12 @@ class FeatureStore:
         the store is built zero-copy over it instead of re-concatenating
         per-sequence copies — same charge, same arrays, no copies.
         """
+        mutation_count = db.mutation_count
         scan = db.scan()  # charges the sequential read up front
         dense = db.dense_arrays()
         if dense is not None:
-            ids, lengths, offsets, values_flat = dense
-            return cls.from_arrays(ids, lengths, offsets, values_flat)
-        return cls(scan)
+            return cls.from_arrays(*dense, mutation_count=mutation_count)
+        return cls(scan, mutation_count=mutation_count)
 
     @classmethod
     def from_contents(cls, db: SequenceDatabase) -> "FeatureStore":
@@ -393,11 +424,11 @@ class FeatureStore:
         used when shipping a shard's contents to worker processes,
         where the simulated cost model must not see the read.
         """
+        mutation_count = db.mutation_count
         dense = db.dense_arrays()
         if dense is not None:
-            ids, lengths, offsets, values_flat = dense
-            return cls.from_arrays(ids, lengths, offsets, values_flat)
-        return cls(db.contents())
+            return cls.from_arrays(*dense, mutation_count=mutation_count)
+        return cls(db.contents(), mutation_count=mutation_count)
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -405,12 +436,15 @@ class FeatureStore:
     def matches(self, db: SequenceDatabase) -> bool:
         """True when the store still mirrors *db*'s contents.
 
-        Ids are never reused and stored sequences are immutable, so id
-        equality implies content equality.
+        O(1): the store mirrors *db* exactly while *db* has applied no
+        insert or delete since the build, i.e. while its
+        :attr:`~repro.storage.database.SequenceDatabase.mutation_count`
+        equals the one recorded here.  *db* must be the database the
+        store was built from, or a replica kept in lockstep with it.
         """
-        ids = db.ids()
-        return len(ids) == len(self.ids) and bool(
-            np.array_equal(self.ids, np.asarray(ids, dtype=np.int64))
+        return (
+            self.mutation_count is not None
+            and self.mutation_count == db.mutation_count
         )
 
     def rows_for(self, seq_ids: Iterable[int]) -> np.ndarray:
@@ -814,12 +848,7 @@ def scan_cascade(
     and a fresh store is only materialized when the id set changed.
     Shared by every scan-based search method.
     """
-    scan = db.scan()  # charges the sequential read up front
     if cached is not None and cached.store.matches(db):
+        db.scan()  # charges the sequential read all the same
         return cached
-    dense = db.dense_arrays() if hasattr(db, "dense_arrays") else None
-    if dense is not None:
-        ids, lengths, offsets, values_flat = dense
-        store = FeatureStore.from_arrays(ids, lengths, offsets, values_flat)
-        return FilterCascade(store, tiers=tuple(tiers))
-    return FilterCascade(FeatureStore(scan), tiers=tuple(tiers))
+    return FilterCascade(FeatureStore.from_database(db), tiers=tuple(tiers))

@@ -279,16 +279,13 @@ class QueryEngine:
 
     def bulk_insert(self, sequences: Iterable[SequenceLike]) -> list[int]:
         """Store many sequences and bulk-load the index in one pass."""
-        items: list[tuple[int, SequenceLike]] = []
-        ids: list[int] = []
-        for sequence in sequences:
-            seq = as_sequence(sequence)
-            if len(seq) == 0:
-                raise ValidationError("cannot insert an empty sequence")
-            seq_id = self._db.insert(seq)
-            items.append((seq_id, seq.values))
-            ids.append(seq_id)
-        self._backend.bulk_load(items)
+        seqs = [as_sequence(sequence) for sequence in sequences]
+        if any(len(seq) == 0 for seq in seqs):
+            raise ValidationError("cannot insert an empty sequence")
+        ids = self._db.insert_many(seqs)
+        self._backend.bulk_load(
+            [(seq_id, seq.values) for seq_id, seq in zip(ids, seqs)]
+        )
         return ids
 
     def delete(self, seq_id: int) -> None:
@@ -312,7 +309,9 @@ class QueryEngine:
 
         Ids are never reused and stored sequences are immutable, so the
         store stays valid until an insert/delete changes the id set —
-        then one sequential scan rebuilds it.
+        then one sequential scan rebuilds it.  The check is O(1): the
+        store compares the database mutation count it was built at
+        (:meth:`FeatureStore.matches`).
         """
         cascade = self._cascade
         if cascade is None or not cascade.store.matches(self._db):

@@ -99,14 +99,14 @@ def _shared_cascade_factory(
     cache: dict[str, Any] = {}
 
     def factory(db: "SequenceDatabase") -> FilterCascade:
-        scan = db.scan()  # the charged build pass, shared-store or not
         if handle is not None:
             if "store" not in cache:
                 cache["segment"], cache["store"] = attach_store(handle)
             store = cache["store"]
             if store.matches(db):
+                db.scan()  # the charged build pass, shared store or not
                 return FilterCascade(store)
-        return FilterCascade(FeatureStore(scan))
+        return FilterCascade(FeatureStore.from_database(db))
 
     return factory
 

@@ -79,11 +79,15 @@ class SharedStoreHandle:
     arrays:
         Layout of the packed arrays, in :attr:`FeatureStore.PACKED_FIELDS`
         order.
+    mutation_count:
+        The publisher's database mutation count the arrays mirror
+        (:attr:`FeatureStore.mutation_count`).
     """
 
     segment: str
     size: int
     arrays: tuple[ArraySpec, ...]
+    mutation_count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,8 @@ class MmapStoreHandle:
         The store's save generation the handle was taken from.
     ids / lengths / offsets:
         The row directory (``(n,)``/``(n,)``/``(n + 1,)`` int64).
+    mutation_count:
+        The publisher's database mutation count the file mirrors.
     """
 
     path: str
@@ -113,6 +119,7 @@ class MmapStoreHandle:
     ids: np.ndarray
     lengths: np.ndarray
     offsets: np.ndarray
+    mutation_count: int | None = None
 
 
 def publish_mmap(db: "SequenceDatabase") -> MmapStoreHandle | None:
@@ -125,6 +132,7 @@ def publish_mmap(db: "SequenceDatabase") -> MmapStoreHandle | None:
     directory arrays are snapshotted so the handle does not pin the
     publisher's map.
     """
+    mutation_count = db.mutation_count
     source = db.mmap_source()
     if source is None:
         return None
@@ -139,6 +147,7 @@ def publish_mmap(db: "SequenceDatabase") -> MmapStoreHandle | None:
         ids=np.array(ids),
         lengths=np.array(lengths),
         offsets=np.array(offsets),
+        mutation_count=mutation_count,
     )
 
 
@@ -180,7 +189,10 @@ def publish_store(
         view[...] = array
         del view  # keep no exported views: segment.close() must not block
     return segment, SharedStoreHandle(
-        segment=segment.name, size=max(offset, 1), arrays=tuple(specs)
+        segment=segment.name,
+        size=max(offset, 1),
+        arrays=tuple(specs),
+        mutation_count=store.mutation_count,
     )
 
 
@@ -211,7 +223,9 @@ def attach_store(
             )
         view.flags.writeable = False
         views[spec.name] = view
-    return segment, FeatureStore.from_packed(**views)
+    return segment, FeatureStore.from_packed(
+        **views, mutation_count=handle.mutation_count
+    )
 
 
 def _attach_mmap(handle: MmapStoreHandle) -> FeatureStore:
@@ -228,5 +242,9 @@ def _attach_mmap(handle: MmapStoreHandle) -> FeatureStore:
                 f"cannot map store data file {handle.path}: {error}"
             ) from error
     return FeatureStore.from_arrays(
-        handle.ids, handle.lengths, handle.offsets, values
+        handle.ids,
+        handle.lengths,
+        handle.offsets,
+        values,
+        mutation_count=handle.mutation_count,
     )

@@ -321,19 +321,27 @@ class RTree:
             raise ValidationError(
                 f"query rectangle has {rect.ndim} dims, tree has {self._ndim}"
             )
+        # The dimension was checked once above and every stored entry
+        # has the tree's dimension, so the per-entry overlap test is the
+        # bare interval comparison of Rect.intersects.
+        q_lows, q_highs = rect.lows, rect.highs
+        dims = range(self._ndim)
         results: list[int] = []
         stack = [self._root]
         while stack:
             node = stack.pop()
             self._record_node_visit(node)
             for entry in node.entries:
-                if not rect.intersects(entry.rect):
-                    continue
-                if entry.is_leaf_entry:
-                    results.append(entry.record)  # type: ignore[arg-type]
+                lows, highs = entry.rect.lows, entry.rect.highs
+                for d in dims:
+                    if q_lows[d] > highs[d] or lows[d] > q_highs[d]:
+                        break
                 else:
-                    assert entry.child is not None
-                    stack.append(entry.child)
+                    if entry.is_leaf_entry:
+                        results.append(entry.record)  # type: ignore[arg-type]
+                    else:
+                        assert entry.child is not None
+                        stack.append(entry.child)
         return results
 
     def point_search(self, point: TypingSequence[float]) -> list[int]:

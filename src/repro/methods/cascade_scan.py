@@ -72,7 +72,7 @@ class CascadeScan(SearchMethod):
     def _build_impl(self) -> None:
         """Precompute the feature store with one sequential scan."""
         self._cascade = FilterCascade(
-            FeatureStore(self._db.scan()), tiers=DEFAULT_TIERS
+            FeatureStore.from_database(self._db), tiers=DEFAULT_TIERS
         )
 
     def _scan_cascade(self) -> FilterCascade:

@@ -104,6 +104,7 @@ class SequenceDatabase:
         self._disk = disk if disk is not None else DiskModel()
         self._buffer = BufferPool(buffer_pages)
         self._next_id = 0
+        self._mutations = 0
         # Concurrent shard queries charge I/O through one database; the
         # multi-field IOStats updates must land atomically per charge.
         self._io_lock = threading.Lock()
@@ -166,6 +167,19 @@ class SequenceDatabase:
         return self._store.ids()
 
     @property
+    def mutation_count(self) -> int:
+        """How many inserts and deletes this database has applied.
+
+        Every change of the id set bumps it; :meth:`compact` does not,
+        since it moves bytes but keeps every id and value.  Ids are
+        never reused and stored sequences are immutable, so a derived
+        structure that recorded this count still mirrors the contents
+        while the two are equal.  Pickled replicas carry the count, and
+        replicas kept in lockstep (mirrored writes) keep agreeing.
+        """
+        return self._mutations
+
+    @property
     def next_id(self) -> int:
         """The id the next insert will be assigned (monotone, never reused)."""
         return self._next_id
@@ -180,11 +194,18 @@ class SequenceDatabase:
         seq_id = self._next_id
         self._next_id += 1
         self._store.append(seq_id, seq.values)
+        self._mutations += 1
         return seq_id
 
     def insert_many(self, sequences: Iterable[SequenceLike]) -> list[int]:
-        """Store several sequences; returns their ids in order."""
-        return [self.insert(seq) for seq in sequences]
+        """Store several sequences; returns their ids in order.
+
+        The store reserves room for all their elements up front, so a
+        large load grows it once rather than step by step.
+        """
+        seqs = [as_sequence(seq) for seq in sequences]
+        self._store.reserve(sum(len(seq) for seq in seqs))
+        return [self.insert(seq) for seq in seqs]
 
     def delete(self, seq_id: int) -> None:
         """Remove a sequence (tombstone; see :meth:`compact`).
@@ -193,6 +214,7 @@ class SequenceDatabase:
         id is not stored.  Ids are never reused.
         """
         self._store.remove(seq_id)
+        self._mutations += 1
 
     def compact(self) -> int:
         """Reclaim tombstoned space; returns bytes freed.

@@ -6,9 +6,9 @@ accounting* — buffer-pool touches, page counts, simulated disk seconds.
 :class:`SequenceStore`:
 
 * ``heap`` — the original byte-level paged heap
-  (:class:`~repro.storage.pages.HeapSequenceStore`): records serialized
-  into one growing in-memory buffer, persisted as a single file.  Kept
-  as the oracle implementation.
+  (:class:`~repro.storage.pages.HeapSequenceStore`): elements kept once
+  in one growable in-memory float64 column, persisted as a single
+  serialized record file.  Kept as the oracle implementation.
 * ``mmap`` — the memory-mapped columnar layout
   (:class:`~repro.storage.columnar.MmapColumnarStore`): one contiguous
   float64 data file mapped read-only, an offset/length directory, a
@@ -127,6 +127,9 @@ class SequenceStore(ABC):
     @abstractmethod
     def append(self, seq_id: int, values: np.ndarray) -> range:
         """Serialize and append one sequence; returns its page span."""
+
+    def reserve(self, n_values: int) -> None:
+        """Make room for *n_values* more elements (a hint; may no-op)."""
 
     @abstractmethod
     def remove(self, seq_id: int) -> int:

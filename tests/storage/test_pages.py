@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import pickle
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cascade import FeatureStore
 from repro.exceptions import (
     SequenceNotFoundError,
     StorageError,
     ValidationError,
 )
+from repro.storage import SequenceDatabase
 from repro.storage.pages import SequenceHeapFile
 
 
@@ -120,6 +126,162 @@ class TestPersistence:
         path.write_bytes(b"not a heap file at all")
         with pytest.raises(StorageError):
             SequenceHeapFile.load(path)
+
+
+def _record(seq_id: int, values: list[float]) -> bytes:
+    return struct.pack("<QI", seq_id, len(values)) + struct.pack(
+        f"<{len(values)}d", *values
+    )
+
+
+#: A page-64 heap holding records 0..2, record 1 tombstoned: magic, page
+#: size, directory (count, then id/offset/length per live record), then
+#: every record — the dead one included — at its logical offset.
+_TOMBSTONED_FILE = (
+    b"RPRS\x01"
+    + struct.pack("<I", 64)
+    + struct.pack("<I", 2)
+    + struct.pack("<QQQ", 0, 0, 28)
+    + struct.pack("<QQQ", 2, 48, 36)
+    + _record(0, [1.0, 2.0])
+    + _record(1, [3.0])
+    + _record(2, [4.0, 5.0, 6.0])
+)
+
+#: The same heap after compaction.
+_COMPACTED_FILE = (
+    b"RPRS\x01"
+    + struct.pack("<I", 64)
+    + struct.pack("<I", 2)
+    + struct.pack("<QQQ", 0, 0, 28)
+    + struct.pack("<QQQ", 2, 28, 36)
+    + _record(0, [1.0, 2.0])
+    + _record(2, [4.0, 5.0, 6.0])
+)
+
+
+def _small_heap() -> SequenceHeapFile:
+    heap = SequenceHeapFile(page_size=64)
+    heap.append(0, np.array([1.0, 2.0]))
+    heap.append(1, np.array([3.0]))
+    heap.append(2, np.array([4.0, 5.0, 6.0]))
+    heap.remove(1)
+    return heap
+
+
+class TestFileFormat:
+    """The bytes :meth:`save` writes are pinned against hand-built files."""
+
+    def test_save_writes_tombstoned_record(self, tmp_path):
+        path = tmp_path / "data.heap"
+        _small_heap().save(path)
+        assert path.read_bytes() == _TOMBSTONED_FILE
+
+    def test_save_after_compact(self, tmp_path):
+        heap = _small_heap()
+        assert heap.compact() == 20
+        path = tmp_path / "data.heap"
+        heap.save(path)
+        assert path.read_bytes() == _COMPACTED_FILE
+
+    def test_hand_built_file_loads_and_resaves_identically(self, tmp_path):
+        path = tmp_path / "data.heap"
+        path.write_bytes(_TOMBSTONED_FILE)
+        heap = SequenceHeapFile.load(path)
+        assert heap.ids() == [0, 2]
+        assert heap.total_bytes == 84
+        assert list(heap.pages_of(2)) == [0, 1]
+        assert heap.read(2).values.tolist() == [4.0, 5.0, 6.0]
+        again = tmp_path / "again.heap"
+        heap.save(again)
+        assert again.read_bytes() == _TOMBSTONED_FILE
+        assert heap.compact() == 20
+        heap.save(again)
+        assert again.read_bytes() == _COMPACTED_FILE
+
+    @pytest.mark.parametrize(
+        ("field_offset", "packed", "message"),
+        [
+            (0, struct.pack("<Q", 7), "expected id 2, found 7"),
+            (8, struct.pack("<I", 2), "does not match element count 2"),
+        ],
+    )
+    def test_header_disagreeing_with_directory_fails_at_load(
+        self, tmp_path, field_offset, packed, message
+    ):
+        data_start = len(_TOMBSTONED_FILE) - 84
+        at = data_start + 48 + field_offset  # record 2's header
+        data = bytearray(_TOMBSTONED_FILE)
+        data[at : at + len(packed)] = packed
+        path = tmp_path / "corrupt.heap"
+        path.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match=message):
+            SequenceHeapFile.load(path)
+
+    def test_truncated_data_section_fails_at_load(self, tmp_path):
+        path = tmp_path / "short.heap"
+        path.write_bytes(_TOMBSTONED_FILE[:-8])
+        with pytest.raises(StorageError, match="truncated"):
+            SequenceHeapFile.load(path)
+
+
+class TestColumn:
+    """One in-memory copy of the elements, served zero-copy."""
+
+    def test_reads_are_copies(self):
+        heap = SequenceHeapFile()
+        heap.append(0, np.array([1.0, 2.0]))
+        column = heap.dense_arrays()[3]
+        assert not np.shares_memory(heap.read(0).values, column)
+        assert not np.shares_memory(next(heap.scan()).values, column)
+
+    def test_dense_until_a_remove_and_again_after_compact(self):
+        heap = _small_heap()
+        assert heap.dense_arrays() is None
+        heap.compact()
+        ids, lengths, offsets, values = heap.dense_arrays()
+        assert ids.tolist() == [0, 2]
+        assert lengths.tolist() == [2, 3]
+        assert offsets.tolist() == [0, 2, 5]
+        assert values.tolist() == [1.0, 2.0, 4.0, 5.0, 6.0]
+        assert not values.flags.writeable
+
+    def test_views_survive_growth_and_compaction(self):
+        heap = SequenceHeapFile()
+        heap.append(0, np.arange(1.0, 4.0))
+        heap.append(1, np.arange(10.0, 12.0))
+        view = heap.dense_arrays()[3]
+        for seq_id in range(2, 400):
+            heap.append(seq_id, np.full(8, float(seq_id)))
+        heap.remove(1)
+        heap.compact()
+        assert view.tolist() == [1.0, 2.0, 3.0, 10.0, 11.0]
+
+    def test_pickle_ships_only_the_used_column(self):
+        heap = SequenceHeapFile()
+        heap.reserve(100_000)
+        heap.append(0, np.array([1.0, 2.0]))
+        payload = pickle.dumps(heap)
+        assert len(payload) < 10_000
+        replica = pickle.loads(payload)
+        assert replica.read(0).values.tolist() == [1.0, 2.0]
+        replica.append(1, np.array([3.0]))
+        assert replica.ids() == [0, 1]
+        assert heap.ids() == [0]
+
+    def test_feature_store_shares_the_column_without_a_copy(self):
+        db = SequenceDatabase(store="heap")
+        rng = np.random.default_rng(3)
+        db.insert_many(rng.normal(size=(100, 1000)).cumsum(axis=1))
+        element_bytes = 100 * 1000 * 8
+        tracemalloc.start()
+        try:
+            store = FeatureStore.from_database(db)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(store.values_flat, db.dense_arrays()[3])
+        assert peak < 0.1 * element_bytes
 
 
 @given(
