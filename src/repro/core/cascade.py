@@ -202,12 +202,13 @@ class FeatureStore:
     ``offsets`` prefix-sum, and the concatenated float64 ``values_flat``
     element buffer.  ``sequences[row]`` is a zero-copy
     :class:`~repro.types.Sequence` view into
-    ``values_flat[offsets[row]:offsets[row + 1]]``.  Because the whole
-    store is five flat buffers, it can be re-hosted on any backing
-    memory (notably a :mod:`multiprocessing.shared_memory` segment, via
-    :meth:`packed` / :meth:`from_packed`) without touching the cascade
-    kernels.  Per-length ``(k, L)`` value matrices for the envelope
-    tier are still materialized lazily.
+    ``values_flat[offsets[row]:offsets[row + 1]]``.  Built from a
+    database whose store serves its elements dense,
+    :meth:`from_database` adopts that buffer as ``values_flat`` without
+    copying it; this is how a process worker's store shares the memory
+    of the shard replica it holds (the ``heap`` column it unpickled, or
+    the data file a clean ``mmap`` replica maps).  Per-length ``(k, L)``
+    value matrices for the envelope tier are still materialized lazily.
 
     A store built from a database records the database's
     :attr:`~repro.storage.database.SequenceDatabase.mutation_count` in
@@ -228,9 +229,6 @@ class FeatureStore:
         "_groups",
         "_cache_lock",
     )
-
-    #: The packed-array fields, in :meth:`packed` export order.
-    PACKED_FIELDS = ("ids", "features", "lengths", "offsets", "values_flat")
 
     def __init__(
         self,
@@ -311,44 +309,6 @@ class FeatureStore:
             setattr(self, name, value)
         self._cache_lock = threading.Lock()
 
-    def packed(self) -> dict[str, np.ndarray]:
-        """The five packed arrays, keyed by :attr:`PACKED_FIELDS` name.
-
-        The returned arrays *are* the store's buffers (no copy); callers
-        exporting them into a shared segment copy out themselves.
-        Sequence labels are not part of the packed form.
-        """
-        return {name: getattr(self, name) for name in self.PACKED_FIELDS}
-
-    @classmethod
-    def from_packed(
-        cls,
-        ids: np.ndarray,
-        features: np.ndarray,
-        lengths: np.ndarray,
-        offsets: np.ndarray,
-        values_flat: np.ndarray,
-        *,
-        mutation_count: int | None = None,
-    ) -> "FeatureStore":
-        """Re-host a store on existing packed arrays, zero-copy.
-
-        The arrays are adopted as-is (they may be views into a
-        :mod:`multiprocessing.shared_memory` buffer); no feature
-        extraction or concatenation runs.  *mutation_count* is the
-        database mutation count the arrays mirror, if known.
-        """
-        self = cls.__new__(cls)
-        self._adopt(
-            np.asarray(ids, dtype=np.int64),
-            np.asarray(features, dtype=np.float64).reshape(len(ids), 4),
-            np.asarray(lengths, dtype=np.int64),
-            np.asarray(offsets, dtype=np.int64),
-            np.asarray(values_flat, dtype=np.float64),
-            mutation_count=mutation_count,
-        )
-        return self
-
     @classmethod
     def from_arrays(
         cls,
@@ -413,22 +373,6 @@ class FeatureStore:
         if dense is not None:
             return cls.from_arrays(*dense, mutation_count=mutation_count)
         return cls(scan, mutation_count=mutation_count)
-
-    @classmethod
-    def from_contents(cls, db: SequenceDatabase) -> "FeatureStore":
-        """Build the store from *db* without charging any I/O.
-
-        The replication/publication counterpart of
-        :meth:`from_database` (see
-        :meth:`~repro.storage.database.SequenceDatabase.contents`):
-        used when shipping a shard's contents to worker processes,
-        where the simulated cost model must not see the read.
-        """
-        mutation_count = db.mutation_count
-        dense = db.dense_arrays()
-        if dense is not None:
-            return cls.from_arrays(*dense, mutation_count=mutation_count)
-        return cls(db.contents(), mutation_count=mutation_count)
 
     def __len__(self) -> int:
         return len(self.sequences)

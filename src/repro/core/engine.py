@@ -199,10 +199,18 @@ class TimeWarpingDatabase:
 
         Raises :class:`~repro.exceptions.SequenceNotFoundError` when the
         id is not stored.  Storage space is tombstoned; call
-        ``db.storage.compact()`` to reclaim it.
+        :meth:`compact` to reclaim it.
         """
         self._sharded.delete(seq_id)
         self._labels.pop(seq_id, None)
+
+    def compact(self) -> None:
+        """Reclaim the storage space deletes tombstoned, on every shard.
+
+        Page numbers shift, so each shard's buffer pool is cleared; the
+        ``process`` executor's worker replicas compact in lockstep.
+        """
+        self._sharded.compact()
 
     # -- inspection ------------------------------------------------------------
 
@@ -245,9 +253,11 @@ class TimeWarpingDatabase:
         return self._sharded.store_name
 
     def close(self) -> None:
-        """Release the execution plane (pool threads, worker processes,
-        shared-memory segments).  Idempotent; safe on every executor,
-        required etiquette for ``executor="process"``."""
+        """Release the execution plane (pool threads, worker processes).
+
+        Idempotent; safe on every executor, required etiquette for
+        ``executor="process"``.
+        """
         self._sharded.close()
 
     def __enter__(self) -> "TimeWarpingDatabase":

@@ -154,12 +154,6 @@ class QueryEngine:
         page size.
     backend_options:
         Extra constructor options when *backend* is a name.
-    cascade_factory:
-        How to (re)build the filter cascade when the store goes stale.
-        Defaults to :meth:`FilterCascade.from_database` (one charged
-        sequential scan); the process executor's workers inject a
-        factory that charges the same scan but adopts the published
-        shared-memory store, so counters stay bit-identical.
     """
 
     def __init__(
@@ -168,8 +162,6 @@ class QueryEngine:
         backend: IndexBackend | str = "rtree",
         *,
         backend_options: dict[str, object] | None = None,
-        cascade_factory: Callable[[SequenceDatabase], FilterCascade]
-        | None = None,
     ) -> None:
         if isinstance(backend, str):
             backend = make_backend(
@@ -183,11 +175,6 @@ class QueryEngine:
             )
         self._db = database
         self._backend = backend
-        self._cascade_factory: Callable[[SequenceDatabase], FilterCascade] = (
-            cascade_factory
-            if cascade_factory is not None
-            else FilterCascade.from_database
-        )
         self._cascade: FilterCascade | None = None
         self._cascade_lock = threading.Lock()
         self._metrics = MetricsRegistry()
@@ -294,6 +281,10 @@ class QueryEngine:
         self._backend.delete(seq_id, stored.values)
         self._db.delete(seq_id)
 
+    def compact(self) -> None:
+        """Reclaim the storage space deletes tombstoned."""
+        self._db.compact()
+
     def rebuild_index(self) -> None:
         """Re-index the whole storage with one (charged) sequential scan."""
         items: list[tuple[int, SequenceLike]] = []
@@ -318,7 +309,7 @@ class QueryEngine:
             with self._cascade_lock:
                 cascade = self._cascade
                 if cascade is None or not cascade.store.matches(self._db):
-                    cascade = self._cascade_factory(self._db)
+                    cascade = FilterCascade.from_database(self._db)
                     self._cascade = cascade
         return cascade
 

@@ -23,11 +23,12 @@ bit-identical to running the same workload on a single shard:
 :class:`~repro.exec.base.ShardExecutor` (``executor=`` /
 ``REPRO_EXECUTOR``): ``serial`` runs shards inline, ``thread`` fans
 out on a persistent thread pool, ``process`` dispatches to spawned
-workers reading the feature store from shared memory.  The router's
-job is unchanged either way — it applies mutations to its own
-authoritative engines (mirroring them to executor replicas), fans
-queries out through the executor, and merges results in shard order,
-so answers and counters are bit-identical across executors.
+workers that each build their feature store from their own replica of
+the shard.  The router's job is unchanged either way — it applies
+mutations to its own authoritative engines (mirroring them to executor
+replicas), fans queries out through the executor, and merges results
+in shard order, so answers and counters are bit-identical across
+executors.
 """
 
 from __future__ import annotations
@@ -332,6 +333,12 @@ class ShardedDatabase:
         del self._rev[shard][lid]
         self._executor.mirror(shard, "delete", (lid,))
 
+    def compact(self) -> None:
+        """Reclaim every shard's tombstoned storage space."""
+        for shard, engine in enumerate(self._engines):
+            engine.compact()
+            self._executor.mirror(shard, "compact")
+
     def get(self, gid: int) -> Sequence:
         """Fetch a stored sequence by gid (charges the shard's I/O)."""
         shard, lid = self._locate(gid)
@@ -355,8 +362,8 @@ class ShardedDatabase:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the execution plane (pool threads, worker processes,
-        shared segments).  Idempotent; the database remains readable
+        """Release the execution plane (pool threads, worker
+        processes).  Idempotent; the database remains readable
         through non-fanning paths (``get``, ``ids``) but further
         queries raise :class:`~repro.exceptions.ExecutorError`."""
         self._executor.close()

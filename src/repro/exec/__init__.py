@@ -17,14 +17,6 @@ from .base import (
 )
 from .process import ProcessExecutor
 from .serial import SerialExecutor
-from .shm import (
-    ArraySpec,
-    MmapStoreHandle,
-    SharedStoreHandle,
-    attach_store,
-    publish_mmap,
-    publish_store,
-)
 from .threaded import ThreadExecutor
 
 __all__ = [
@@ -35,12 +27,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "ArraySpec",
-    "MmapStoreHandle",
-    "SharedStoreHandle",
-    "attach_store",
-    "publish_mmap",
-    "publish_store",
     "available_executors",
     "make_executor",
     "register_executor",

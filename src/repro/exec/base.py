@@ -13,10 +13,9 @@ factored into a :class:`ShardExecutor`:
   in a copy of the submitting thread's :mod:`contextvars` context so
   trace spans parent correctly.
 * ``process`` — spawn-based worker processes that own a replica of
-  their shard's :class:`~repro.core.query_engine.QueryEngine`, reading
-  the feature store zero-copy from a
-  :mod:`multiprocessing.shared_memory` segment.  This is the executor
-  that takes DTW verification off the GIL.
+  their shard's :class:`~repro.core.query_engine.QueryEngine` and
+  build its feature store from that replica, like any other engine.
+  This is the executor that takes DTW verification off the GIL.
 
 All three are registered here by name; selection order is the explicit
 ``executor=`` argument, then the ``REPRO_EXECUTOR`` environment
@@ -123,7 +122,7 @@ class ShardExecutor(ABC):
     ) -> None:
         """Forward a mutation already applied to the parent's engines.
 
-        The router applies every insert/bulk-load/delete to its own
+        The router applies every insert/bulk-load/delete/compact to its own
         (authoritative) engines first, then calls ``mirror`` so an
         executor holding *replicas* — the process executor — can replay
         the same operation on its worker's copy, keeping storage,

@@ -1,12 +1,15 @@
-"""The process executor: spawn-based shard workers, shared feature memory.
+"""The process executor: spawn-based shard workers over shard replicas.
 
 Each shard gets one spawned worker process owning a *replica*
 :class:`~repro.core.query_engine.QueryEngine` (the shard's storage and
-index backend pickle over at spawn time), while the shard's feature
-store is published once into a :mod:`multiprocessing.shared_memory`
-segment and attached zero-copy by the worker — cascade filtering and
-DTW verification read sequence values straight from shared memory,
-off the GIL.
+index backend pickle over at spawn time).  The worker builds its
+feature store from that replica with
+:meth:`~repro.core.cascade.FilterCascade.from_database`, exactly as an
+in-process engine does, so cascade filtering and DTW verification run
+off the parent's GIL.  The build is zero-copy wherever the replica's
+store serves its elements dense: a view of the ``heap`` column the
+replica unpickled, or the ``numpy.memmap`` a clean ``mmap`` replica
+re-opens over the shard's data file.
 
 Protocol (one duplex pipe per worker, strictly FIFO, parent drives):
 
@@ -21,13 +24,11 @@ Protocol (one duplex pipe per worker, strictly FIFO, parent drives):
 ``("close",)``
     Acknowledge and exit the worker loop.
 
-Bit-exactness: the worker builds its cascade through a factory that
-charges the same ``db.scan()`` the in-process engines charge, then
-adopts the shared store when it still mirrors the replica database
-(after mirrored mutations it falls back to a locally rebuilt store,
-exactly like the in-process lazy rebuild).  Query charges travel back
-on the pickled ``QueryResult``/``BatchResult`` snapshots and merge in
-shard order, so counters are bit-identical to the serial executor.
+Bit-exactness: the replica's store build charges the same
+``db.scan()`` the in-process engines charge, and mirrored mutations
+trigger the same lazy rebuild.  Query charges travel back on the
+pickled ``QueryResult``/``BatchResult`` snapshots and merge in shard
+order, so counters are bit-identical to the serial executor.
 
 One caveat is inherent to replication: parent-side reads *outside* the
 executor (``ShardedDatabase.get``) touch only the parent's buffer
@@ -43,24 +44,16 @@ import weakref
 from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.connection import Connection
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from ..exceptions import ExecutorError
 from ..obs.metrics import use_registry
 from ..obs.tracing import Span, SpanGrafter, Tracer, active_tracer, use_tracer
 from .base import ShardExecutor, register_executor
-from .shm import (
-    MmapStoreHandle,
-    SharedStoreHandle,
-    attach_store,
-    publish_mmap,
-    publish_store,
-)
 
 if TYPE_CHECKING:
     from multiprocessing.context import SpawnContext
     from multiprocessing.process import BaseProcess
-    from multiprocessing.shared_memory import SharedMemory
 
     from ..core.query_engine import QueryEngine
     from ..index.backend import IndexBackend
@@ -79,47 +72,13 @@ class _WorkerInit:
     shard: int
     database: "SequenceDatabase"
     backend: "IndexBackend"
-    store: SharedStoreHandle | MmapStoreHandle | None
-
-
-def _shared_cascade_factory(
-    handle: SharedStoreHandle | MmapStoreHandle | None,
-) -> "Callable[[SequenceDatabase], Any]":
-    """A cascade factory that adopts the shared store when still valid.
-
-    Charges one ``db.scan()`` exactly like
-    :meth:`FilterCascade.from_database`, so the first query's counters
-    match the in-process executors bit-for-bit.  The attachment —
-    shared-memory segment or read-only file map, depending on the
-    handle — happens once and is cached (a ``SharedMemory`` object, if
-    any, must outlive the store views).
-    """
-    from ..core.cascade import FeatureStore, FilterCascade
-
-    cache: dict[str, Any] = {}
-
-    def factory(db: "SequenceDatabase") -> FilterCascade:
-        if handle is not None:
-            if "store" not in cache:
-                cache["segment"], cache["store"] = attach_store(handle)
-            store = cache["store"]
-            if store.matches(db):
-                db.scan()  # the charged build pass, shared store or not
-                return FilterCascade(store)
-        return FilterCascade(FeatureStore.from_database(db))
-
-    return factory
 
 
 def _worker_main(conn: Connection, init: _WorkerInit) -> None:
     """Worker loop: serve call/mirror commands until closed."""
     from ..core.query_engine import QueryEngine
 
-    engine = QueryEngine(
-        init.database,
-        init.backend,
-        cascade_factory=_shared_cascade_factory(init.store),
-    )
+    engine = QueryEngine(init.database, init.backend)
     try:
         while True:
             try:
@@ -159,11 +118,7 @@ def _worker_main(conn: Connection, init: _WorkerInit) -> None:
         conn.close()
 
 
-def _release(
-    conns: list[Connection],
-    procs: list["BaseProcess"],
-    segments: list["SharedMemory"],
-) -> None:
+def _release(conns: list[Connection], procs: list["BaseProcess"]) -> None:
     """Tear the worker fleet down; safe to call twice (finalizer path)."""
     for conn in conns:
         try:
@@ -182,25 +137,17 @@ def _release(
         if proc.is_alive():
             proc.terminate()
             proc.join(timeout=_JOIN_TIMEOUT)
-    for segment in segments:
-        try:
-            segment.close()
-            segment.unlink()
-        except (FileNotFoundError, OSError):
-            pass
 
 
 @register_executor
 class ProcessExecutor(ShardExecutor):
-    """One spawned worker per shard over shared feature arrays.
+    """One spawned worker per shard, each over a replica of its shard.
 
     Workers are spawned lazily on the first fan-out, pickling each
     shard's storage + backend as they are *at that moment*; later
-    mutations are kept in lockstep via :meth:`mirror`.  The published
-    shared store reflects spawn-time contents — after mutations the
-    workers transparently rebuild local stores (the same lazy rebuild
-    the in-process engines perform), trading the zero-copy read for
-    unchanged answers and counters.
+    mutations are kept in lockstep via :meth:`mirror`, and each worker
+    rebuilds its feature store from its replica whenever one lands
+    (the same lazy rebuild the in-process engines perform).
     """
 
     name = "process"
@@ -210,7 +157,6 @@ class ProcessExecutor(ShardExecutor):
         self._ctx: "SpawnContext" = get_context("spawn")
         self._conns: list[Connection] | None = None
         self._procs: list["BaseProcess"] = []
-        self._segments: list["SharedMemory"] = []
         self._finalizer: weakref.finalize | None = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -220,34 +166,16 @@ class ProcessExecutor(ShardExecutor):
             self._require_open()
             if self._conns is not None:
                 return self._conns
-            from ..core.cascade import FeatureStore
-
             conns: list[Connection] = []
             procs: list["BaseProcess"] = []
-            segments: list["SharedMemory"] = []
             try:
                 for shard, engine in enumerate(self._engines):
-                    # Publish the shard's feature state charge-free: the
-                    # cost model only charges reads the query pipeline
-                    # performs, and the worker charges its own build scan.
-                    # A clean mmap-store shard publishes by file path —
-                    # workers map the columnar data file read-only and no
-                    # values are copied or pickled; otherwise fall back to
-                    # copying the packed arrays into shared memory.
-                    handle: SharedStoreHandle | MmapStoreHandle | None
-                    handle = publish_mmap(engine.database)
-                    if handle is None:
-                        store = FeatureStore.from_contents(engine.database)
-                        segment, handle = publish_store(store)
-                        segments.append(segment)
                     parent_conn, child_conn = self._ctx.Pipe()
                     proc = self._ctx.Process(
                         target=_worker_main,
                         args=(
                             child_conn,
-                            _WorkerInit(
-                                shard, engine.database, engine.backend, handle
-                            ),
+                            _WorkerInit(shard, engine.database, engine.backend),
                         ),
                         name=f"repro-shard-{shard}",
                         daemon=True,
@@ -257,16 +185,14 @@ class ProcessExecutor(ShardExecutor):
                     conns.append(parent_conn)
                     procs.append(proc)
             except BaseException:
-                _release(conns, procs, segments)
+                _release(conns, procs)
                 raise
-            self._conns, self._procs, self._segments = conns, procs, segments
-            self._finalizer = weakref.finalize(
-                self, _release, conns, procs, segments
-            )
+            self._conns, self._procs = conns, procs
+            self._finalizer = weakref.finalize(self, _release, conns, procs)
             return conns
 
     def close(self) -> None:
-        """Shut workers down and unlink the shared segments (idempotent)."""
+        """Shut the workers down (idempotent)."""
         with self._lifecycle_lock:
             if self._closed:
                 return

@@ -6,8 +6,8 @@ module-level object.  A module-level dict, list or set referenced from
 a worker entry point therefore *looks* shared with the parent but is
 not — mutations diverge silently across the process boundary, which is
 exactly the failure mode the executor plane's bit-exactness contract
-forbids.  Worker state must live in arguments (pickled once, explicit)
-or in shared memory (:mod:`repro.exec.shm`), never in module globals.
+forbids.  Worker state must live in the worker's arguments (pickled
+once, explicit), never in module globals.
 
 The rule finds functions wired as process entry points — any name
 passed as the ``target=`` of a ``Process(...)``-style call — walks the
@@ -186,7 +186,7 @@ class SpawnSafetyRule(Rule):
                         f"module-level mutable {node.id!r}; spawned "
                         "workers get a fresh copy, so this state is not "
                         "shared with the parent — pass it through the "
-                        "worker's arguments or shared memory instead",
+                        "worker's arguments instead",
                     )
                 elif isinstance(node, ast.Global) and any(
                     name in mutable for name in node.names

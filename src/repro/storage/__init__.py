@@ -35,7 +35,6 @@ from .store import (
     DEFAULT_STORE,
     ENV_STORE,
     STORES,
-    MmapSource,
     SequenceStore,
     available_stores,
     make_store,
@@ -52,7 +51,6 @@ __all__ = [
     "HeapSequenceStore",
     "IOStats",
     "MmapColumnarStore",
-    "MmapSource",
     "STORES",
     "SequenceDatabase",
     "SequenceHeapFile",

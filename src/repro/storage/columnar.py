@@ -54,7 +54,7 @@ import numpy as np
 
 from ..exceptions import SequenceNotFoundError, StorageError, ValidationError
 from ..types import Sequence, as_array
-from .store import MmapSource, SequenceStore, register_store
+from .store import SequenceStore, register_store
 
 __all__ = ["MmapColumnarStore"]
 
@@ -300,16 +300,6 @@ class MmapColumnarStore(SequenceStore):
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         return ids, lengths, offsets, self._mapped
-
-    def mmap_source(self) -> MmapSource | None:
-        """The data file behind :meth:`dense_arrays` (clean state only)."""
-        if self._dirty or self._paths is None:
-            return None
-        return MmapSource(
-            path=str(self._paths[1]),
-            n_values=int(self._mapped.size),
-            epoch=self._epoch,
-        )
 
     # -- persistence ------------------------------------------------------------------
 

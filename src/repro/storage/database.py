@@ -24,13 +24,7 @@ from ..obs.metrics import active_registry
 from ..types import Sequence, SequenceLike, as_sequence
 from .buffer import BufferPool
 from .diskmodel import DiskModel
-from .store import (
-    MmapSource,
-    STORES,
-    make_store,
-    resolve_store_name,
-    sniff_store_name,
-)
+from .store import STORES, make_store, resolve_store_name, sniff_store_name
 
 __all__ = ["SequenceDatabase", "IOStats"]
 
@@ -289,12 +283,10 @@ class SequenceDatabase:
     def contents(self) -> Iterator[Sequence]:
         """Iterate the stored sequences without charging any I/O.
 
-        Replication/publication paths (e.g. shipping a shard's contents
-        to a worker process, or exporting the feature store into a
-        shared-memory segment) read the in-memory store directly; the
-        simulated cost model only charges reads the *query pipeline*
-        performs, so charging here would break the bit-exact counter
-        parity between executors.
+        The uncharged counterpart of :meth:`scan`, for readers outside
+        the query pipeline (tests use it as the oracle of what a store
+        holds): the simulated cost model only charges reads the *query
+        pipeline* performs.
         """
         return self._store.scan()
 
@@ -309,10 +301,6 @@ class SequenceDatabase:
         Uncharged, like :meth:`contents`.
         """
         return self._store.dense_arrays()
-
-    def mmap_source(self) -> MmapSource | None:
-        """The on-disk value file behind :meth:`dense_arrays`, if any."""
-        return self._store.mmap_source()
 
     # -- persistence ---------------------------------------------------------------
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Iterator, TypeVar
 
@@ -43,7 +42,6 @@ __all__ = [
     "DEFAULT_STORE",
     "ENV_STORE",
     "STORES",
-    "MmapSource",
     "SequenceStore",
     "available_stores",
     "make_store",
@@ -57,32 +55,6 @@ DEFAULT_STORE = "heap"
 
 #: Environment variable consulted when no explicit store is passed.
 ENV_STORE = "REPRO_STORE"
-
-
-@dataclass(frozen=True)
-class MmapSource:
-    """Where a store's mapped value file lives (for zero-copy attach).
-
-    A store that can serve its concatenated element buffer straight
-    from a file on disk advertises it here; the process executor ships
-    this descriptor to workers instead of copying the values through a
-    shared-memory segment.
-
-    Attributes
-    ----------
-    path:
-        The contiguous float64 data file (little-endian, values
-        back-to-back in insertion order).
-    n_values:
-        Total float64 elements in the file.
-    epoch:
-        The store's save generation — attachments are only valid for
-        the generation they were taken from.
-    """
-
-    path: str
-    n_values: int
-    epoch: int
 
 
 class SequenceStore(ABC):
@@ -170,15 +142,6 @@ class SequenceStore(ABC):
         ``(n + 1,)`` element prefix-sum into *values_flat*.  Stores (or
         states) that cannot return ``None`` and callers fall back to
         the per-sequence :meth:`scan` copy path.
-        """
-        return None
-
-    def mmap_source(self) -> MmapSource | None:
-        """The on-disk value file behind :meth:`dense_arrays`, if any.
-
-        ``None`` for purely in-memory stores or dirty states; when set,
-        the file's contents equal the ``values_flat`` of
-        :meth:`dense_arrays` and other processes may map it read-only.
         """
         return None
 

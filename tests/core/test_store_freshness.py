@@ -65,8 +65,7 @@ class _Harness:
         del self.model[gid]
 
     def compact(self) -> None:
-        for storage in self.facade.sharded.storages:
-            storage.compact()
+        self.facade.compact()
 
     def save(self) -> None:
         self.facade.save(self.path)

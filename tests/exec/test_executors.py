@@ -47,8 +47,9 @@ def _facade(
     backend: str = "rtree",
     shards: int = 4,
     executor: str | None = None,
+    page_size: int = 1024,
 ) -> TimeWarpingDatabase:
-    storage = SequenceDatabase(page_size=1024)
+    storage = SequenceDatabase(page_size=page_size)
     for values in arrays:
         storage.insert(values)
     return TimeWarpingDatabase.from_storage(
@@ -127,9 +128,12 @@ class TestExecutorParity:
                 ]
 
     def test_mutations_stay_in_lockstep(self, arrays, queries):
-        """Insert/delete after spawn must reach every worker replica."""
+        """Insert/delete/compact after spawn must reach every replica."""
+        # Pages small enough that compacting the deleted records moves
+        # page spans, so a replica that skipped the compact would
+        # charge different storage counters.
         facades = {
-            name: _facade(arrays[:12], shards=3, executor=name)
+            name: _facade(arrays[:12], shards=3, executor=name, page_size=512)
             for name in ALL_EXECUTORS
         }
         try:
@@ -141,6 +145,7 @@ class TestExecutorParity:
             for facade in facades.values():
                 facade.delete(4)
                 facade.delete(7)
+                facade.compact()
                 facade.insert(arrays[12])
                 facade.insert(arrays[13])
             observed = {

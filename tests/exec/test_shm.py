@@ -1,264 +1,156 @@
-"""Shared-memory feature-store publication: pack, attach, equivalence.
+"""Worker replicas share memory with the feature store built over them.
 
-``publish_store`` flattens a :class:`FeatureStore` into one shared
-segment; ``attach_store`` rebuilds a read-only zero-copy view of it.
-These tests pin the packed layout round trip, the attached store's
-behavioural equivalence (same cascade answers, same stage stats), the
-zero-sequence edge case, and read-only enforcement on the views.
+A ``process`` worker unpickles a replica of its shard's
+:class:`SequenceDatabase` and builds its feature store with
+:meth:`FeatureStore.from_database`, like any in-process engine.  These
+tests pin what keeps that build zero-copy: on a ``heap`` replica the
+store's element buffer is a read-only view of the replica's own
+column; on a clean ``mmap`` replica it is the read-only
+``numpy.memmap`` the replica re-opens over the shard's data file.
+They also pin that the stores answer like the per-sequence oracle, that
+a replica whose data file is gone fails with a :class:`StorageError`,
+and that saved two-shard databases answer correctly on the process
+executor after a load.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.cascade import FeatureStore, FilterCascade
 from repro.core.engine import TimeWarpingDatabase
+from repro.distance.dtw import dtw_max
 from repro.exceptions import StorageError
-from repro.exec import (
-    ArraySpec,
-    MmapStoreHandle,
-    attach_store,
-    publish_mmap,
-    publish_store,
-)
 from repro.storage import SequenceDatabase
-from repro.types import Sequence
 
 
-def _store(n: int = 12, seed: int = 3) -> FeatureStore:
+def _arrays(n: int, seed: int) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
-    sequences = [
-        Sequence(
-            rng.normal(size=int(rng.integers(5, 24))).cumsum(),
-            seq_id=i,
-            label=f"s{i}" if i % 3 == 0 else None,
-        )
-        for i in range(n)
-    ]
-    return FeatureStore(sequences)
+    return [rng.normal(size=int(rng.integers(5, 24))).cumsum() for _ in range(n)]
 
 
-class TestPackedRoundTrip:
-    def test_from_packed_rebuilds_identical_store(self):
-        store = _store()
-        clone = FeatureStore.from_packed(**store.packed())
-        assert [s.seq_id for s in clone.sequences] == [
-            s.seq_id for s in store.sequences
-        ]
-        for ours, theirs in zip(store.sequences, clone.sequences):
-            np.testing.assert_array_equal(ours.values, theirs.values)
-        np.testing.assert_array_equal(clone.features, store.features)
-
-    def test_packed_fields_are_flat_arrays(self):
-        packed = _store().packed()
-        assert tuple(packed) == FeatureStore.PACKED_FIELDS
-        assert packed["features"].shape == (12, 4)
-        assert packed["offsets"][0] == 0
-        assert packed["offsets"][-1] == packed["values_flat"].size
-
-    def test_sequences_view_flat_buffer(self):
-        store = _store()
-        row = store.sequences[4]
-        assert row.values.base is not None  # zero-copy slice, not a copy
-
-    def test_labels_do_not_survive_packing(self):
-        # Labels are engine-side metadata; worker replicas carry them in
-        # the pickled storage instead, so the packed form drops them.
-        clone = FeatureStore.from_packed(**_store().packed())
-        assert all(s.label is None for s in clone.sequences)
+def _replica(db: SequenceDatabase) -> SequenceDatabase:
+    """The database as a spawned worker receives it."""
+    return pickle.loads(pickle.dumps(db))
 
 
-class TestSharedSegment:
-    def test_attached_store_answers_identically(self):
-        store = _store(n=20)
-        segment, handle = publish_store(store)
-        try:
-            attached_segment, attached = attach_store(handle)
-            try:
-                rng = np.random.default_rng(11)
-                query = rng.normal(size=14).cumsum()
-                for epsilon in (0.0, 0.8, 2.5):
-                    ours = FilterCascade(store).run(query, epsilon)
-                    theirs = FilterCascade(attached).run(query, epsilon)
-                    assert theirs.answer_ids == ours.answer_ids
-                    assert theirs.candidate_ids == ours.candidate_ids
-                    assert [
-                        (s.name, s.n_in, s.n_out)
-                        for s in theirs.stats.stages
-                    ] == [
-                        (s.name, s.n_in, s.n_out) for s in ours.stats.stages
-                    ]
-            finally:
-                attached_segment.close()
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_handle_layout_is_contiguous(self):
-        store = _store()
-        segment, handle = publish_store(store)
-        try:
-            assert [spec.name for spec in handle.arrays] == list(
-                FeatureStore.PACKED_FIELDS
-            )
-            offset = 0
-            for spec in handle.arrays:
-                assert isinstance(spec, ArraySpec)
-                assert spec.offset == offset
-                offset += int(
-                    np.prod(spec.shape, dtype=np.int64)
-                    * np.dtype(spec.dtype).itemsize
-                )
-            assert handle.size == max(offset, 1)
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_empty_store_publishes(self):
-        store = FeatureStore([])
-        segment, handle = publish_store(store)
-        try:
-            attached_segment, attached = attach_store(handle)
-            try:
-                assert attached.sequences == []
-                outcome = FilterCascade(attached).run(np.arange(4.0), 1.0)
-                assert outcome.answer_ids == []
-            finally:
-                attached_segment.close()
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_attached_values_are_read_only(self):
-        segment, handle = publish_store(_store())
-        try:
-            attached_segment, attached = attach_store(handle)
-            try:
-                with pytest.raises(ValueError):
-                    attached.sequences[0].values[0] = 99.0
-            finally:
-                attached_segment.close()
-        finally:
-            segment.close()
-            segment.unlink()
+def _heap_db(n: int = 12, seed: int = 3) -> SequenceDatabase:
+    db = SequenceDatabase(store="heap")
+    db.insert_many(_arrays(n, seed))
+    return db
 
 
 def _saved_db(tmp_path, n: int = 16, seed: int = 9) -> SequenceDatabase:
-    rng = np.random.default_rng(seed)
     db = SequenceDatabase(store="mmap")
-    db.insert_many(
-        [rng.normal(size=int(rng.integers(5, 24))).cumsum() for _ in range(n)]
-    )
+    db.insert_many(_arrays(n, seed))
     db.save(tmp_path / "db.bin")
     return db
 
 
-class TestMmapTransport:
-    """The copy-free alternative: workers map the columnar data file."""
+def _assert_answers_like_oracle(store: FeatureStore, db: SequenceDatabase) -> None:
+    oracle = FeatureStore(list(db.contents()))
+    query = np.random.default_rng(11).normal(size=14).cumsum()
+    for epsilon in (0.0, 0.8, 2.5):
+        ours = FilterCascade(oracle).run(query, epsilon)
+        theirs = FilterCascade(store).run(query, epsilon)
+        assert theirs.answer_ids == ours.answer_ids
+        assert theirs.candidate_ids == ours.candidate_ids
+        assert [(s.name, s.n_in, s.n_out) for s in theirs.stats.stages] == [
+            (s.name, s.n_in, s.n_out) for s in ours.stats.stages
+        ]
 
-    def test_publish_requires_a_clean_mmap_store(self, tmp_path):
-        heap_db = SequenceDatabase(store="heap")
-        heap_db.insert([1.0, 2.0])
-        assert publish_mmap(heap_db) is None
-        dirty = SequenceDatabase(store="mmap")
-        dirty.insert([1.0, 2.0])
-        assert publish_mmap(dirty) is None  # never saved
-        clean = _saved_db(tmp_path)
-        handle = publish_mmap(clean)
-        assert isinstance(handle, MmapStoreHandle)
-        clean.insert([3.0])
-        assert publish_mmap(clean) is None  # dirty again
+
+class TestPackedRoundTrip:
+    """A replica's store holds the same five flat arrays as the oracle."""
+
+    def test_packed_fields_are_flat_arrays(self):
+        db = _heap_db()
+        store = FeatureStore.from_database(_replica(db))
+        oracle = FeatureStore(list(db.contents()))
+        assert store.features.shape == (12, 4)
+        assert store.offsets[0] == 0
+        assert store.offsets[-1] == store.values_flat.size
+        for name in ("ids", "features", "lengths", "offsets", "values_flat"):
+            np.testing.assert_array_equal(
+                getattr(store, name), getattr(oracle, name)
+            )
+
+    def test_sequences_view_flat_buffer(self):
+        store = FeatureStore.from_database(_replica(_heap_db()))
+        for row in store.sequences:
+            assert np.shares_memory(row.values, store.values_flat)
+
+
+class TestSharedSegment:
+    """Heap replicas: the store shares the replica's element column."""
+
+    def test_attached_store_answers_identically(self):
+        replica = _replica(_heap_db(n=20))
+        _assert_answers_like_oracle(FeatureStore.from_database(replica), replica)
+
+    def test_attached_values_are_read_only(self):
+        replica = _replica(_heap_db())
+        store = FeatureStore.from_database(replica)
+        assert np.shares_memory(store.values_flat, replica.dense_arrays()[3])
+        assert not store.values_flat.flags.writeable
+        with pytest.raises(ValueError):
+            store.sequences[0].values[0] = 99.0
+
+
+class TestMmapTransport:
+    """Clean mmap replicas map the shard's data file; no values travel."""
 
     def test_attached_store_answers_identically(self, tmp_path):
-        db = _saved_db(tmp_path, n=20)
-        handle = publish_mmap(db)
-        assert handle is not None
-        segment, attached = attach_store(handle)
-        assert segment is None  # no shared-memory lifecycle to manage
-        oracle = FeatureStore(list(db.contents()))
-        rng = np.random.default_rng(11)
-        query = rng.normal(size=14).cumsum()
-        for epsilon in (0.0, 0.8, 2.5):
-            ours = FilterCascade(oracle).run(query, epsilon)
-            theirs = FilterCascade(attached).run(query, epsilon)
-            assert theirs.answer_ids == ours.answer_ids
-            assert theirs.candidate_ids == ours.candidate_ids
-            assert [
-                (s.name, s.n_in, s.n_out) for s in theirs.stats.stages
-            ] == [(s.name, s.n_in, s.n_out) for s in ours.stats.stages]
+        replica = _replica(_saved_db(tmp_path, n=20))
+        _assert_answers_like_oracle(FeatureStore.from_database(replica), replica)
 
     def test_attached_values_view_the_mapped_file(self, tmp_path):
-        handle = publish_mmap(_saved_db(tmp_path))
-        assert handle is not None
-        _segment, attached = attach_store(handle)
-        values = attached.sequences[0].values
+        store = FeatureStore.from_database(_replica(_saved_db(tmp_path)))
+        values = store.sequences[0].values
         base: np.ndarray = values
-        while base.base is not None and isinstance(base.base, np.ndarray):
+        while isinstance(base.base, np.ndarray):
             base = base.base
         assert isinstance(base, np.memmap)
         with pytest.raises(ValueError):
             values[0] = 99.0
 
-    def test_handle_does_not_pin_the_publisher_map(self, tmp_path):
-        db = _saved_db(tmp_path)
-        handle = publish_mmap(db)
-        assert handle is not None
-        for array in (handle.ids, handle.lengths, handle.offsets):
-            assert not isinstance(array, np.memmap)
-            assert array.base is None or not isinstance(
-                array.base, np.memmap
-            )
-
     def test_attach_missing_file_raises_storage_error(self, tmp_path):
-        handle = MmapStoreHandle(
-            path=str(tmp_path / "gone.dat"),
-            n_values=8,
-            epoch=1,
-            ids=np.array([0], dtype=np.int64),
-            lengths=np.array([8], dtype=np.int64),
-            offsets=np.array([0, 8], dtype=np.int64),
-        )
-        with pytest.raises(StorageError, match="gone.dat"):
-            attach_store(handle)
+        payload = pickle.dumps(_saved_db(tmp_path))
+        (tmp_path / "db.bin.dat").unlink()
+        with pytest.raises(StorageError, match="db.bin.dat"):
+            pickle.loads(payload)
 
     def test_empty_store_attaches(self, tmp_path):
         db = SequenceDatabase(store="mmap")
         db.save(tmp_path / "db.bin")
-        handle = publish_mmap(db)
-        assert handle is not None
-        _segment, attached = attach_store(handle)
-        assert attached.sequences == []
+        store = FeatureStore.from_database(_replica(db))
+        assert store.sequences == []
+        assert FilterCascade(store).run(np.arange(4.0), 1.0).answer_ids == []
 
 
 class TestProcessExecutorZeroCopy:
-    """A loaded mmap database spawns workers without any shm segment."""
+    """Saved shards answer on the process executor after a load."""
 
-    def test_no_segments_published_for_mmap_store(self, tmp_path):
-        rng = np.random.default_rng(21)
-        arrays = [
-            rng.normal(size=int(rng.integers(8, 24))).cumsum()
-            for _ in range(18)
-        ]
+    @pytest.mark.parametrize("store", ["heap", "mmap"])
+    def test_saved_database_answers_under_process(self, tmp_path, store):
+        arrays = _arrays(18, 21)
         path = tmp_path / "db.bin"
-        with TimeWarpingDatabase(store="mmap", shards=2) as built:
+        with TimeWarpingDatabase(store=store, shards=2) as built:
             built.bulk_load(arrays)
             built.save(path)
         with TimeWarpingDatabase.load(path, executor="process") as facade:
-            matches = facade.search(arrays[0], 0.5)
-            assert any(m.seq_id == 0 for m in matches)
-            assert facade.sharded.executor._segments == []
-
-    def test_segments_still_published_for_heap_store(self, tmp_path):
-        rng = np.random.default_rng(22)
-        arrays = [
-            rng.normal(size=int(rng.integers(8, 24))).cumsum()
-            for _ in range(12)
-        ]
-        path = tmp_path / "db.bin"
-        with TimeWarpingDatabase(store="heap", shards=2) as built:
-            built.bulk_load(arrays)
-            built.save(path)
-        with TimeWarpingDatabase.load(path, executor="process") as facade:
-            facade.search(arrays[0], 0.5)
-            assert len(facade.sharded.executor._segments) == 2
+            assert facade.store_name == store
+            for gid in (0, 7):
+                found = {
+                    m.seq_id: m.distance for m in facade.search(arrays[gid], 1.0)
+                }
+                expected = {
+                    other: dtw_max(arrays[gid], values)
+                    for other, values in enumerate(arrays)
+                    if dtw_max(arrays[gid], values) <= 1.0
+                }
+                assert found == expected
+                assert found[gid] == 0.0

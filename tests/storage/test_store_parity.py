@@ -173,13 +173,10 @@ class TestFeatureParity:
         db = SequenceDatabase(store="mmap")
         db.insert_many(arrays[:5])
         assert db.dense_arrays() is None  # dirty: unsaved tail
-        assert db.mmap_source() is None
         db.save(tmp_path / "db.bin")
         assert db.dense_arrays() is not None
-        assert db.mmap_source() is not None
         db.insert(arrays[5])
         assert db.dense_arrays() is None  # dirty again
-        assert db.mmap_source() is None
 
 
 class TestRegistryContract:
