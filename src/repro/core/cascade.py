@@ -200,9 +200,10 @@ class FeatureStore:
     of five packed arrays — ``ids``/``lengths`` (``(n,)`` int64), the
     ``(n, 4)`` float64 ``features`` matrix, the ``(n + 1,)`` int64
     ``offsets`` prefix-sum, and the concatenated float64 ``values_flat``
-    element buffer.  ``sequences[row]`` is a zero-copy
-    :class:`~repro.types.Sequence` view into
-    ``values_flat[offsets[row]:offsets[row + 1]]``.  Built from a
+    element buffer.  :meth:`sequence` builds the row's
+    :class:`~repro.types.Sequence` on demand, a zero-copy view into
+    ``values_flat[offsets[row]:offsets[row + 1]]``; only a store built
+    from loose sequences keeps their ``labels``.  Built from a
     database whose store serves its elements dense,
     :meth:`from_database` adopts that buffer as ``values_flat`` without
     copying it; this is how a process worker's store shares the memory
@@ -218,7 +219,7 @@ class FeatureStore:
     """
 
     __slots__ = (
-        "sequences",
+        "labels",
         "ids",
         "features",
         "lengths",
@@ -273,22 +274,15 @@ class FeatureStore:
         labels: list[str | None] | None = None,
         mutation_count: int | None = None,
     ) -> None:
-        """Bind the packed arrays and rebuild the zero-copy sequence views."""
+        """Bind the packed arrays (and the labels, per row, if any)."""
         values_flat.flags.writeable = False
         self.mutation_count = mutation_count
+        self.labels = labels
         self.ids = ids
         self.features = features
         self.lengths = lengths
         self.offsets = offsets
         self.values_flat = values_flat
-        self.sequences = [
-            Sequence(
-                values_flat[offsets[row] : offsets[row + 1]],
-                seq_id=int(ids[row]),
-                label=labels[row] if labels is not None else None,
-            )
-            for row in range(len(ids))
-        ]
         self._row_of: dict[int, int] | None = None
         self._groups: dict[int, np.ndarray] | None = None
         # Shard thread pools share one store; the lazy row/group caches
@@ -375,7 +369,7 @@ class FeatureStore:
         return cls(scan, mutation_count=mutation_count)
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return len(self.ids)
 
     def matches(self, db: SequenceDatabase) -> bool:
         """True when the store still mirrors *db*'s contents.
@@ -427,12 +421,20 @@ class FeatureStore:
         rows = self.groups_by_length().get(length)
         if rows is None or rows.size == 0:
             return np.empty(0, dtype=np.int64), np.empty((0, length))
-        matrix = np.stack([self.sequences[int(r)].values for r in rows])
+        matrix = self.values_flat[self.offsets[rows][:, None] + np.arange(length)]
         return rows, matrix
 
     def values(self, row: int) -> np.ndarray:
-        """Raw element array of the sequence at *row*."""
-        return self.sequences[row].values
+        """Raw element array of the sequence at *row* (a read-only view)."""
+        return self.values_flat[self.offsets[row] : self.offsets[row + 1]]
+
+    def sequence(self, row: int) -> Sequence:
+        """The sequence at *row*, as a zero-copy view into ``values_flat``."""
+        return Sequence(
+            self.values(row),
+            seq_id=int(self.ids[row]),
+            label=self.labels[row] if self.labels is not None else None,
+        )
 
 
 @dataclass

@@ -187,11 +187,14 @@ class TimeWarpingDatabase:
 
         Substantially faster than repeated :meth:`insert` for initial
         loads (paper section 4.3.1); existing contents are preserved.
+        All or nothing: a load holding an empty, non-1-d or non-finite
+        sequence raises and stores none of it.
         """
-        seqs = [as_sequence(sequence) for sequence in sequences]
-        ids = self._sharded.bulk_load(seqs)
-        for seq_id, seq in zip(ids, seqs):
-            self._labels[seq_id] = seq.label
+        items = list(sequences)
+        ids = self._sharded.bulk_load(items)
+        for seq_id, item in zip(ids, items):
+            if isinstance(item, Sequence) and item.label is not None:
+                self._labels[seq_id] = item.label
         return ids
 
     def delete(self, seq_id: int) -> None:

@@ -33,7 +33,7 @@ from ..obs.metrics import (
 from ..obs.querylog import record_query
 from ..obs.tracing import maybe_span
 from ..storage.database import SequenceDatabase
-from ..types import Sequence, SequenceLike, as_sequence
+from ..types import Sequence, SequenceLike, as_sequence, as_values
 from .cascade import STAGE_DTW, CascadeStats, FilterCascade, charged_stage
 
 __all__ = [
@@ -265,14 +265,15 @@ class QueryEngine:
         return seq_id
 
     def bulk_insert(self, sequences: Iterable[SequenceLike]) -> list[int]:
-        """Store many sequences and bulk-load the index in one pass."""
-        seqs = [as_sequence(sequence) for sequence in sequences]
-        if any(len(seq) == 0 for seq in seqs):
-            raise ValidationError("cannot insert an empty sequence")
-        ids = self._db.insert_many(seqs)
-        self._backend.bulk_load(
-            [(seq_id, seq.values) for seq_id, seq in zip(ids, seqs)]
-        )
+        """Store many sequences and bulk-load the index in one pass.
+
+        All or nothing: the storage checks every sequence before it or
+        the index keeps any (see
+        :meth:`~repro.storage.database.SequenceDatabase.insert_many`).
+        """
+        arrays = [as_values(sequence) for sequence in sequences]
+        ids = self._db.insert_many(arrays)
+        self._backend.bulk_load(zip(ids, arrays))
         return ids
 
     def delete(self, seq_id: int) -> None:
@@ -381,12 +382,15 @@ class QueryEngine:
                 with timed("dtw.verify.seconds"):
                     for row in surviving:
                         seq_id = int(ids[row])
-                        stored = cascade.store.sequences[int(row)]
                         self._db.charge_fetch(seq_id)
                         distance = self._verify_distance(
-                            stored.values, q.values, epsilon, band_radius
+                            cascade.store.values(int(row)),
+                            q.values,
+                            epsilon,
+                            band_radius,
                         )
                         if distance <= epsilon:
+                            stored = cascade.store.sequence(int(row))
                             matches.append(
                                 SearchOutcome(seq_id, distance, stored)
                             )
@@ -475,7 +479,7 @@ class QueryEngine:
                         SearchOutcome(
                             seq_id,
                             outcome.distances[seq_id],
-                            cascade.store.sequences[int(row)],
+                            cascade.store.sequence(int(row)),
                         )
                         for seq_id, row in zip(outcome.answer_ids, rows)
                     ]

@@ -49,7 +49,7 @@ from ..obs.querylog import record_query
 from ..obs.tracing import maybe_span
 from ..storage.database import SequenceDatabase
 from ..storage.diskmodel import DiskModel
-from ..types import Sequence, SequenceLike, as_sequence
+from ..types import Sequence, SequenceLike, as_array, as_sequence
 from .cascade import CascadeStats
 from .query_engine import BatchResult, QueryEngine, QueryResult, SearchOutcome
 
@@ -300,29 +300,31 @@ class ShardedDatabase:
         return gid
 
     def bulk_load(self, sequences: Iterable[SequenceLike]) -> list[int]:
-        """Store many sequences, bulk-loading each shard's index once."""
-        seqs = [as_sequence(sequence) for sequence in sequences]
-        for seq in seqs:
-            if len(seq) == 0:
-                raise ValidationError("cannot insert an empty sequence")
-        gids: list[int] = []
-        per_shard: list[list[Sequence]] = [[] for _ in range(self._n)]
-        per_shard_gids: list[list[int]] = [[] for _ in range(self._n)]
-        for seq in seqs:
-            gid = self._next_gid
-            self._next_gid += 1
-            shard = gid % self._n
-            per_shard[shard].append(seq)
-            per_shard_gids[shard].append(gid)
-            gids.append(gid)
-        for shard, batch in enumerate(per_shard):
+        """Store many sequences, bulk-loading each shard's index once.
+
+        All or nothing.  One shard's storage checks the whole load
+        before it keeps any of it; several shards load one after
+        another, so every sequence is checked in full here first.
+        """
+        if self._n == 1:
+            items = list(sequences)
+        else:
+            items = [as_array(seq, allow_empty=False) for seq in sequences]
+        first = self._next_gid
+        gids = list(range(first, first + len(items)))
+        for shard, engine in enumerate(self._engines):
+            # Round-robin: gid g lives on shard g % n.
+            start = (shard - first) % self._n
+            batch = items[start :: self._n]
             if not batch:
                 continue
-            lids = self._engines[shard].bulk_insert(batch)
-            for gid, lid in zip(per_shard_gids[shard], lids):
+            lids = engine.bulk_insert(batch)
+            rev = self._rev[shard]
+            for gid, lid in zip(gids[start :: self._n], lids):
                 self._assign[gid] = (shard, lid)
-                self._rev[shard][lid] = gid
+                rev[lid] = gid
             self._executor.mirror(shard, "bulk_insert", (batch,))
+        self._next_gid = first + len(items)
         return gids
 
     def delete(self, gid: int) -> None:

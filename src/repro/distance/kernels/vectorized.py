@@ -176,7 +176,7 @@ class VectorizedKernel(ReferenceKernel):
             return super().additive_matrix(
                 s_arr, q_arr, power=power, window=window
             )
-        cost = np.abs(s_arr[:, None] - q_arr[None, :])
+        cost = np.abs(s_arr[:, None] - q_arr[None, ::-1])
         if power != 1.0:
             cost = cost**power
         return self._wavefront_matrix(cost, additive=True)
@@ -190,7 +190,7 @@ class VectorizedKernel(ReferenceKernel):
     ) -> np.ndarray:
         if window is not None or s_arr.size * q_arr.size < _WAVEFRONT_MIN_CELLS:
             return super().max_matrix(s_arr, q_arr, window=window)
-        cost = np.abs(s_arr[:, None] - q_arr[None, :])
+        cost = np.abs(s_arr[:, None] - q_arr[None, ::-1])
         return self._wavefront_matrix(cost, additive=False)
 
     def _wavefront_matrix(
@@ -198,37 +198,53 @@ class VectorizedKernel(ReferenceKernel):
     ) -> np.ndarray:
         """Fill the full accumulated matrix one anti-diagonal at a time.
 
-        ``additive=True`` accumulates ``best + cost`` (Definition 1,
-        *cost* already raised to the base power); ``additive=False``
-        accumulates ``max(cost, best)`` (Definition 2).
+        *cost* is ``(n, m)`` against the reversed query: ``cost[i, m - 1
+        - j]`` is the cost of cell ``(i, j)``.  ``additive=True``
+        accumulates ``best + cost`` (Definition 1, *cost* already raised
+        to the base power); ``additive=False`` accumulates ``max(cost,
+        best)`` (Definition 2).
+
+        The fill runs in place on a padded ``(n + 1) x (m + 1)``
+        accumulator in the same reversed layout: cell ``(i, j)`` sits at
+        ``[i + 1, m - 1 - j]``, and row 0 and column ``m`` hold the inf
+        border of the out-of-grid row and column -1.  In the flattened
+        accumulator anti-diagonal ``d`` is then a strided view with step
+        ``m + 2``; its up, left and diagonal predecessors are the same
+        view shifted by ``-(m + 1)``, ``+1`` and ``-m``, all on earlier
+        anti-diagonals.  So each anti-diagonal reads and writes
+        views only, with no reset and no index arrays.
         """
         n, m = cost.shape
-        acc = np.full((n, m), _INF)
-        rows = np.arange(n, dtype=np.intp)
-        prev2 = np.full(n + 1, _INF)
-        prev1 = np.full(n + 1, _INF)
-        curr = np.full(n + 1, _INF)
-        for d in range(n + m - 1):
+        row = m + 1
+        step = m + 2
+        padded = np.full((n + 1, row), _INF)
+        flat = padded.ravel()
+        costs = cost.ravel()
+        best = np.empty(min(n, m))
+        # The (0, 0) corner: best is 0.0 and cost >= 0, so both
+        # recurrences reduce to the cost itself.
+        padded[1, m - 1] = cost[0, m - 1]
+        for d in range(1, n + m - 1):
             i0 = d - m + 1 if d >= m else 0
             i1 = d if d < n else n - 1
-            curr[:] = _INF
-            i_idx = rows[i0 : i1 + 1]
-            j_idx = d - i_idx
-            c = cost[i_idx, j_idx]
-            if d == 0:
-                # The (0, 0) corner: best is 0.0 and cost >= 0, so both
-                # recurrences reduce to the cost itself.
-                cell = c
+            size = i1 - i0 + 1
+            start = i0 * step + 2 * m - d
+            stop = start + (size - 1) * step + 1
+            first = i0 * row + m - 1 - d
+            c = costs[first : first + (size - 1) * row + 1 : row]
+            b = best[:size]
+            np.minimum(
+                flat[start - row : stop - row : step],
+                flat[start + 1 : stop + 1 : step],
+                out=b,
+            )
+            np.minimum(b, flat[start - m : stop - m : step], out=b)
+            cells = flat[start:stop:step]
+            if additive:
+                np.add(b, c, out=cells)
             else:
-                best = np.minimum(
-                    np.minimum(prev1[i0 : i1 + 1], prev1[i0 + 1 : i1 + 2]),
-                    prev2[i0 : i1 + 1],
-                )
-                cell = best + c if additive else np.maximum(c, best)
-            acc[i_idx, j_idx] = cell
-            curr[i0 + 1 : i1 + 2] = cell
-            prev2, prev1, curr = prev1, curr, prev2
-        return acc
+                np.maximum(c, b, out=cells)
+        return padded[1:, m - 1 :: -1].copy()
 
     def max_bounded(
         self, s_arr: np.ndarray, q_arr: np.ndarray, epsilon: float

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import abc
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Iterable, Iterator
@@ -38,7 +39,7 @@ from ..core.lower_bound import feature_rect, filter_margin
 from ..distance.dtw import dtw_max
 from ..exceptions import EntryNotFoundError, ValidationError
 from ..fastmap.fastmap import FastMap
-from ..types import SequenceLike
+from ..types import SequenceLike, as_values
 from .rtree.bulk import STRBulkLoader
 from .rtree.geometry import Rect
 from .rtree.persist import load_rtree, save_rtree
@@ -76,9 +77,20 @@ _SUFFIX_NODE_BYTES = 48
 _LINEAR_ENTRY_BYTES = 40
 
 
-def _feature_point(values: SequenceLike) -> tuple[float, ...]:
-    """The 4-tuple feature point of a raw value sequence."""
-    return extract_feature(np.asarray(values, dtype=float)).as_tuple()
+def _feature_point(values: SequenceLike) -> tuple[float, float, float, float]:
+    """The 4-tuple feature point of a raw value sequence (paper order).
+
+    Equal to :func:`~repro.core.features.extract_feature`, with two
+    reductions per sequence and no intermediate object.  Finite extremes
+    prove every element finite: ``max`` propagates NaN, and an infinite
+    element would be an extreme.
+    """
+    arr = as_values(values)
+    greatest = float(arr.max())
+    smallest = float(arr.min())
+    if not -math.inf < smallest <= greatest < math.inf:
+        raise ValidationError("sequence elements must be finite numbers")
+    return (float(arr[0]), float(arr[-1]), greatest, smallest)
 
 
 @dataclass(frozen=True)
@@ -271,7 +283,8 @@ class RTreeBackend(FeaturePointBackend):
         for rect, record in self._tree.items():
             loader.add(rect, record)
         for seq_id, values in items:
-            loader.add(_feature_point(values), seq_id)
+            point = _feature_point(values)
+            loader.add(Rect._trusted(point, point), seq_id)
         self._tree = loader.build()
         self._tree.stats = self._access
 
@@ -500,7 +513,8 @@ class SuffixTreeBackend(IndexBackend):
         self._categorizer = categorizer
 
     def insert(self, seq_id: int, values: SequenceLike) -> None:
-        self._values[seq_id] = np.asarray(values, dtype=float)
+        # A copy of its own: the caller may still write to its array.
+        self._values[seq_id] = np.array(values, dtype=float)
         self._built = None
 
     def delete(self, seq_id: int, values: SequenceLike) -> None:
@@ -598,7 +612,8 @@ class FastMapBackend(IndexBackend):
         self._fastmap = fastmap
 
     def insert(self, seq_id: int, values: SequenceLike) -> None:
-        self._values[seq_id] = np.asarray(values, dtype=float)
+        # A copy of its own: the caller may still write to its array.
+        self._values[seq_id] = np.array(values, dtype=float)
         self._built = None
 
     def delete(self, seq_id: int, values: SequenceLike) -> None:

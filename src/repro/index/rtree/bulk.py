@@ -10,6 +10,11 @@ speedups.  STR (Leutenegger et al., ICDE 1997) is the classic choice:
 3. Pack consecutive runs of ``max_entries`` entries into leaves, then
    repeat the packing one level up until a single root remains.
 
+Steps 1 and 2 run on an ``(n, ndim)`` matrix of entry centers: each
+slab is a stable ``argsort`` of an index array, so ties keep their
+queue order, and each leaf entry is created once, already in its final
+position.
+
 The resulting tree is fully packed (every node ~100% full), so it is
 both smaller and faster to query than a tuple-at-a-time build — the
 property the bulk-loading ablation (bench A3) measures.
@@ -20,6 +25,8 @@ from __future__ import annotations
 import math
 from typing import Sequence as TypingSequence
 
+import numpy as np
+
 from ...exceptions import ValidationError
 from .geometry import Rect
 from .node import Entry, Node
@@ -28,23 +35,29 @@ from .rtree import RTree
 __all__ = ["str_pack", "STRBulkLoader"]
 
 
-def _tile(entries: list[Entry], dim: int, node_capacity: int, ndim: int) -> list[Entry]:
-    """Recursively order entries by STR tiling starting at dimension *dim*."""
-    if dim >= ndim - 1 or len(entries) <= node_capacity:
-        entries.sort(key=lambda e: e.rect.center[min(dim, ndim - 1)])
-        return entries
-    entries.sort(key=lambda e: e.rect.center[dim])
-    n = len(entries)
-    leaf_pages = math.ceil(n / node_capacity)
-    # Number of slabs along this dimension: the (ndim - dim)-th root of
-    # the page count, so the tiling is balanced across dimensions.
-    slabs = max(1, math.ceil(leaf_pages ** (1.0 / (ndim - dim))))
-    slab_size = math.ceil(n / slabs)
-    ordered: list[Entry] = []
-    for start in range(0, n, slab_size):
-        slab = entries[start : start + slab_size]
-        ordered.extend(_tile(slab, dim + 1, node_capacity, ndim))
-    return ordered
+def _str_order(centers: np.ndarray, node_capacity: int) -> np.ndarray:
+    """Row order of an STR tiling of the ``(n, ndim)`` *centers* matrix."""
+    ndim = centers.shape[1]
+
+    def tile(rows: np.ndarray, dim: int) -> np.ndarray:
+        key = centers[rows, min(dim, ndim - 1)]
+        rows = rows[np.argsort(key, kind="stable")]
+        n = rows.size
+        if dim >= ndim - 1 or n <= node_capacity:
+            return rows
+        leaf_pages = math.ceil(n / node_capacity)
+        # Number of slabs along this dimension: the (ndim - dim)-th root
+        # of the page count, so the tiling is balanced across dimensions.
+        slabs = max(1, math.ceil(leaf_pages ** (1.0 / (ndim - dim))))
+        slab_size = math.ceil(n / slabs)
+        return np.concatenate(
+            [
+                tile(rows[start : start + slab_size], dim + 1)
+                for start in range(0, n, slab_size)
+            ]
+        )
+
+    return tile(np.arange(len(centers)), 0)
 
 
 def str_pack(
@@ -98,7 +111,8 @@ class STRBulkLoader:
             max_entries=max_entries,
         )
         self._ndim = ndim
-        self._entries: list[Entry] = []
+        self._rects: list[Rect] = []
+        self._records: list[int] = []
 
     def add(self, rect: Rect | TypingSequence[float], record: int) -> None:
         """Queue one entry for the build."""
@@ -108,18 +122,29 @@ class STRBulkLoader:
             raise ValidationError(
                 f"rectangle has {rect.ndim} dims, loader has {self._ndim}"
             )
-        self._entries.append(Entry(rect=rect, record=record))
+        self._rects.append(rect)
+        self._records.append(record)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rects)
 
     def build(self) -> RTree:
         """Pack all queued entries and return the finished tree."""
         tree = self._template
-        if not self._entries:
+        rects, records = self._rects, self._records
+        if not rects:
             return tree
         capacity = tree.max_entries
-        ordered = _tile(list(self._entries), 0, capacity, self._ndim)
+        # Python floats overflow to inf silently; match that here.
+        with np.errstate(over="ignore"):
+            centers = (
+                np.array([rect.lows for rect in rects])
+                + np.array([rect.highs for rect in rects])
+            ) / 2.0
+        ordered = [
+            Entry(rect=rects[row], record=records[row])
+            for row in _str_order(centers, capacity).tolist()
+        ]
 
         # Pack leaves.
         level_nodes: list[Node] = []
@@ -143,7 +168,7 @@ class STRBulkLoader:
             _avoid_trailing_underflow(parents, tree.min_entries)
             level_nodes = parents
 
-        tree._adopt(level_nodes[0], len(self._entries))
+        tree._adopt(level_nodes[0], len(rects))
         return tree
 
 

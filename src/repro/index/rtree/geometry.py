@@ -47,8 +47,9 @@ class Rect:
         object.__setattr__(self, "highs", highs_t)
 
     def __setattr__(self, name: str, value: object) -> None:
-        # the __setattr__ protocol requires AttributeError here
-        raise AttributeError("Rect is immutable")  # repro-lint: disable=RL004
+        # the __setattr__ protocol requires AttributeError here; the
+        # call graph reaches it through the object.__setattr__ writes
+        raise AttributeError("Rect is immutable")  # repro-lint: disable=RL004,RL015
 
     def __reduce__(self) -> tuple[type["Rect"], tuple[tuple[float, ...], ...]]:
         # Default __slots__ pickling restores state through
@@ -64,6 +65,20 @@ class Rect:
         return cls(point, point)
 
     @classmethod
+    def _trusted(
+        cls, lows: tuple[float, ...], highs: tuple[float, ...]
+    ) -> "Rect":
+        """A rectangle over bounds already known valid, without re-checking.
+
+        For bounds derived from valid rectangles or from finite feature
+        points: float tuples of equal length with ``lows <= highs``.
+        """
+        rect = object.__new__(cls)
+        object.__setattr__(rect, "lows", lows)
+        object.__setattr__(rect, "highs", highs)
+        return rect
+
+    @classmethod
     def from_intervals(
         cls, intervals: Iterable[tuple[float, float]]
     ) -> "Rect":
@@ -74,20 +89,15 @@ class Rect:
     @classmethod
     def union_of(cls, rects: Iterable["Rect"]) -> "Rect":
         """The minimum bounding rectangle of several rectangles."""
-        it = iter(rects)
-        try:
-            first = next(it)
-        except StopIteration:
+        rects = list(rects)
+        if not rects:
             raise ValidationError("union_of requires at least one rectangle")
-        lows = list(first.lows)
-        highs = list(first.highs)
-        for rect in it:
-            for d in range(len(lows)):
-                if rect.lows[d] < lows[d]:
-                    lows[d] = rect.lows[d]
-                if rect.highs[d] > highs[d]:
-                    highs[d] = rect.highs[d]
-        return cls(lows, highs)
+        # ``min``/``max`` keep the first of equal bounds, so -0.0 and 0.0
+        # resolve as a left-to-right scan over the rectangles would.
+        return cls._trusted(
+            tuple(map(min, zip(*(rect.lows for rect in rects)))),
+            tuple(map(max, zip(*(rect.highs for rect in rects)))),
+        )
 
     # -- basic properties ------------------------------------------------
 

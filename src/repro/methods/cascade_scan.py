@@ -91,7 +91,7 @@ class CascadeScan(SearchMethod):
         stats.lower_bound_computations += len(store)
 
         def verifier(row: int) -> float:
-            return self._verify(store.sequences[row], query, epsilon, stats)
+            return self._verify(store.sequence(row), query, epsilon, stats)
 
         outcome = cascade.run(
             query.values,

@@ -49,7 +49,7 @@ class LBScan(SearchMethod):
         stats.lower_bound_computations += len(store)
 
         def verifier(row: int) -> float:
-            return self._verify(store.sequences[row], query, epsilon, stats)
+            return self._verify(store.sequence(row), query, epsilon, stats)
 
         outcome = cascade.run(query.values, epsilon, verifier=verifier)
         self._last_cascade = outcome.stats

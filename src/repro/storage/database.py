@@ -192,14 +192,19 @@ class SequenceDatabase:
         return seq_id
 
     def insert_many(self, sequences: Iterable[SequenceLike]) -> list[int]:
-        """Store several sequences; returns their ids in order.
+        """Store several sequences in one batch; returns their ids in order.
 
-        The store reserves room for all their elements up front, so a
-        large load grows it once rather than step by step.
+        All or nothing: the store's
+        :meth:`~repro.storage.store.SequenceStore.extend` checks every
+        sequence before it keeps any, so a rejected batch leaves the
+        database unchanged.
         """
-        seqs = [as_sequence(seq) for seq in sequences]
-        self._store.reserve(sum(len(seq) for seq in seqs))
-        return [self.insert(seq) for seq in seqs]
+        batch = list(sequences)
+        first = self._next_id
+        self._store.extend(first, batch)
+        self._next_id += len(batch)
+        self._mutations += len(batch)
+        return list(range(first, first + len(batch)))
 
     def delete(self, seq_id: int) -> None:
         """Remove a sequence (tombstone; see :meth:`compact`).

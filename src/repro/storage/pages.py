@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Any, ClassVar, Iterator
+from typing import Any, ClassVar, Iterator, Sequence as TypingSequence
 
 import numpy as np
 
 from ..exceptions import SequenceNotFoundError, StorageError, ValidationError
-from ..types import Sequence, as_array
+from ..types import Sequence, SequenceLike, as_array, as_values
 from .store import SequenceStore, register_store
 
 __all__ = ["HeapSequenceStore", "SequenceHeapFile"]
@@ -119,7 +119,7 @@ class HeapSequenceStore(SequenceStore):
             raise ValidationError(f"seq_id must be non-negative, got {seq_id}")
         arr = as_array(values, allow_empty=False)
         start = self._used
-        self.reserve(arr.size)
+        self._grow(arr.size)
         self._column[start : start + arr.size] = arr
         self._used += arr.size
         self._live += arr.size
@@ -129,7 +129,39 @@ class HeapSequenceStore(SequenceStore):
         self._end += length
         return self.pages_of(seq_id)
 
-    def reserve(self, n_values: int) -> None:
+    def extend(self, first_id: int, arrays: TypingSequence[SequenceLike]) -> None:
+        """Append ``arrays[k]`` under id ``first_id + k`` in one pass.
+
+        All or nothing, like :meth:`SequenceStore.extend`: the ids and
+        shapes are checked first, then the batch is copied into the
+        column's spare capacity with one ``concatenate`` and its
+        elements checked finite there, all before the directory
+        records any of it.
+        """
+        checked = [as_values(values) for values in arrays]
+        self._check_new_ids(first_id, len(checked))
+        if not checked:
+            return
+        start = self._used
+        total = sum(arr.size for arr in checked)
+        self._grow(total)
+        batch = self._column[start : start + total]
+        np.concatenate(checked, out=batch)
+        if not np.isfinite(batch).all():
+            raise ValidationError("sequence elements must be finite numbers")
+        records = self._records
+        end = self._end
+        for seq_id, arr in enumerate(checked, start=first_id):
+            length = _HEADER.size + 8 * arr.size
+            records[seq_id] = (end, length, start)
+            end += length
+            start += arr.size
+        self._order.extend(range(first_id, first_id + len(checked)))
+        self._used += total
+        self._live += total
+        self._end = end
+
+    def _grow(self, n_values: int) -> None:
         """Grow the column to hold *n_values* more elements."""
         needed = self._used + n_values
         if needed <= self._column.size:

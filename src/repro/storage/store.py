@@ -31,12 +31,12 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import ClassVar, Iterator, TypeVar
+from typing import ClassVar, Iterator, Sequence as TypingSequence, TypeVar
 
 import numpy as np
 
 from ..exceptions import StorageError, ValidationError
-from ..types import Sequence
+from ..types import Sequence, SequenceLike, as_array
 
 __all__ = [
     "DEFAULT_STORE",
@@ -100,8 +100,27 @@ class SequenceStore(ABC):
     def append(self, seq_id: int, values: np.ndarray) -> range:
         """Serialize and append one sequence; returns its page span."""
 
-    def reserve(self, n_values: int) -> None:
-        """Make room for *n_values* more elements (a hint; may no-op)."""
+    def extend(self, first_id: int, arrays: TypingSequence[SequenceLike]) -> None:
+        """Append ``arrays[k]`` under id ``first_id + k``, all or nothing.
+
+        The whole batch is rejected, and the store left unchanged, when
+        an id is negative or already stored, or a sequence is empty,
+        not 1-d or holds a non-finite element.  This default checks
+        every sequence, then loops over :meth:`append`; a store may
+        override it to write the batch in one pass.
+        """
+        checked = [as_array(values, allow_empty=False) for values in arrays]
+        self._check_new_ids(first_id, len(checked))
+        for offset, values in enumerate(checked):
+            self.append(first_id + offset, values)
+
+    def _check_new_ids(self, first_id: int, count: int) -> None:
+        """Raise unless ids ``first_id .. first_id + count - 1`` are all free."""
+        if first_id < 0:
+            raise ValidationError(f"seq_id must be non-negative, got {first_id}")
+        for seq_id in range(first_id, first_id + count):
+            if seq_id in self:
+                raise StorageError(f"sequence {seq_id} already stored")
 
     @abstractmethod
     def remove(self, seq_id: int) -> int:

@@ -25,10 +25,24 @@ import numpy as np
 
 from .exceptions import EmptySequenceError, ValidationError
 
-__all__ = ["Sequence", "SequenceLike", "as_array", "as_sequence"]
+__all__ = ["Sequence", "SequenceLike", "as_array", "as_sequence", "as_values"]
 
 #: Anything acceptable as sequence input to public API functions.
 SequenceLike = Union["Sequence", np.ndarray, Iterable[float]]
+
+
+def _one_dimensional(values: SequenceLike) -> np.ndarray:
+    """*values* (not a :class:`Sequence`) as a 1-d float64 array."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except TypeError:
+        # Generators and other one-shot iterables.
+        arr = np.fromiter(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValidationError(
+            f"sequence must be 1-dimensional, got shape {arr.shape}"
+        )
+    return arr
 
 
 def as_array(values: SequenceLike, *, allow_empty: bool = True) -> np.ndarray:
@@ -42,20 +56,30 @@ def as_array(values: SequenceLike, *, allow_empty: bool = True) -> np.ndarray:
     if isinstance(values, Sequence):
         arr = values.values
     else:
-        try:
-            arr = np.asarray(values, dtype=np.float64)
-        except TypeError:
-            # Generators and other one-shot iterables.
-            arr = np.fromiter(values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValidationError(
-                f"sequence must be 1-dimensional, got shape {arr.shape}"
-            )
+        arr = _one_dimensional(values)
         if arr.size and not np.all(np.isfinite(arr)):
             raise ValidationError("sequence elements must be finite numbers")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
     if not allow_empty and arr.size == 0:
+        raise EmptySequenceError("operation requires a non-empty sequence")
+    return arr
+
+
+def as_values(values: SequenceLike) -> np.ndarray:
+    """The elements of a non-empty sequence as a 1-d float64 array.
+
+    The bulk-load counterpart of :func:`as_array`: shape and emptiness
+    are checked per sequence, finiteness is not.  A bulk load checks
+    the finiteness of all its elements in one pass instead (see
+    :meth:`repro.storage.store.SequenceStore.extend`).  A float64 input
+    array is returned as-is, neither copied nor made read-only.
+    """
+    if isinstance(values, Sequence):
+        arr = values.values
+    else:
+        arr = _one_dimensional(values)
+    if arr.size == 0:
         raise EmptySequenceError("operation requires a non-empty sequence")
     return arr
 

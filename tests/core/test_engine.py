@@ -8,6 +8,7 @@ import pytest
 from repro import TimeWarpingDatabase
 from repro.distance.dtw import dtw_max
 from repro.exceptions import ValidationError
+from repro.index.backend import BACKEND_NAMES
 
 
 @pytest.fixture()
@@ -59,6 +60,22 @@ class TestPopulation:
         db = TimeWarpingDatabase()
         with pytest.raises(ValidationError):
             db.bulk_load([[1.0], []])
+
+    @pytest.mark.parametrize("backend", sorted(BACKEND_NAMES))
+    def test_bulk_load_keeps_no_alias_of_caller_arrays(self, backend):
+        rng = np.random.default_rng(4)
+        arrays = [rng.normal(size=12).cumsum() for _ in range(20)]
+        loaded = TimeWarpingDatabase(backend=backend)
+        loaded.bulk_load(arrays)
+        untouched = TimeWarpingDatabase(backend=backend)
+        untouched.bulk_load([a.copy() for a in arrays])
+        query = arrays[3].copy()
+        for a in arrays:
+            a += 100.0
+        for epsilon in (0.0, 1.0):
+            assert [m.seq_id for m in loaded.search(query, epsilon)] == [
+                m.seq_id for m in untouched.search(query, epsilon)
+            ]
 
 
 class TestSearch:

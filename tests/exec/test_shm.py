@@ -80,8 +80,8 @@ class TestPackedRoundTrip:
 
     def test_sequences_view_flat_buffer(self):
         store = FeatureStore.from_database(_replica(_heap_db()))
-        for row in store.sequences:
-            assert np.shares_memory(row.values, store.values_flat)
+        for row in range(len(store)):
+            assert np.shares_memory(store.sequence(row).values, store.values_flat)
 
 
 class TestSharedSegment:
@@ -97,7 +97,7 @@ class TestSharedSegment:
         assert np.shares_memory(store.values_flat, replica.dense_arrays()[3])
         assert not store.values_flat.flags.writeable
         with pytest.raises(ValueError):
-            store.sequences[0].values[0] = 99.0
+            store.sequence(0).values[0] = 99.0
 
 
 class TestMmapTransport:
@@ -109,7 +109,7 @@ class TestMmapTransport:
 
     def test_attached_values_view_the_mapped_file(self, tmp_path):
         store = FeatureStore.from_database(_replica(_saved_db(tmp_path)))
-        values = store.sequences[0].values
+        values = store.sequence(0).values
         base: np.ndarray = values
         while isinstance(base.base, np.ndarray):
             base = base.base
@@ -127,7 +127,7 @@ class TestMmapTransport:
         db = SequenceDatabase(store="mmap")
         db.save(tmp_path / "db.bin")
         store = FeatureStore.from_database(_replica(db))
-        assert store.sequences == []
+        assert len(store) == 0
         assert FilterCascade(store).run(np.arange(4.0), 1.0).answer_ids == []
 
 

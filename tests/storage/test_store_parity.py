@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.cascade import FeatureStore
 from repro.core.engine import TimeWarpingDatabase
-from repro.exceptions import ValidationError
+from repro.exceptions import ReproError, ValidationError
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.storage import (
     DEFAULT_STORE,
@@ -165,7 +165,9 @@ class TestFeatureParity:
         dense = FeatureStore.from_database(loaded)
         scalar = FeatureStore(list(loaded.contents()))
         np.testing.assert_array_equal(dense.features, scalar.features)
-        for ours, theirs in zip(dense.sequences, scalar.sequences):
+        assert len(dense) == len(scalar)
+        for row in range(len(dense)):
+            ours, theirs = dense.sequence(row), scalar.sequence(row)
             assert ours.seq_id == theirs.seq_id
             np.testing.assert_array_equal(ours.values, theirs.values)
 
@@ -177,6 +179,74 @@ class TestFeatureParity:
         assert db.dense_arrays() is not None
         db.insert(arrays[5])
         assert db.dense_arrays() is None  # dirty again
+
+
+def _state(store):
+    """What a rejected extend must leave as it was."""
+    dense = store.dense_arrays()
+    return (
+        len(store),
+        store.total_bytes,
+        store.ids(),
+        None if dense is None else [a.tolist() for a in dense],
+    )
+
+
+_BAD_BATCHES = {
+    "nan": (10, [np.ones(3), np.array([1.0, np.nan])]),
+    "inf": (10, [np.ones(3), np.array([-np.inf, 1.0])]),
+    "empty": (10, [np.ones(3), np.array([])]),
+    "two_dimensional": (10, [np.ones(3), np.ones((2, 2))]),
+    "stored_id": (1, [np.ones(3), np.ones(2)]),
+    "negative_id": (-1, [np.ones(3), np.ones(2)]),
+}
+
+
+class TestExtendAllOrNothing:
+    """A rejected batch leaves every store exactly as it was."""
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_BATCHES))
+    @pytest.mark.parametrize("clean", [False, True], ids=["unsaved", "saved"])
+    @pytest.mark.parametrize("name", ALL_STORES)
+    def test_rejected_extend_changes_nothing(self, tmp_path, name, clean, bad):
+        store = make_store(name, page_size=64)
+        store.extend(0, [np.arange(1.0, 4.0), np.arange(5.0, 7.0)])
+        store.remove(0)
+        store.compact()
+        if clean:
+            store.save(tmp_path / "db.bin")
+        before = _state(store)
+        first_id, batch = _BAD_BATCHES[bad]
+        with pytest.raises(ReproError):
+            store.extend(first_id, batch)
+        assert _state(store) == before
+        store.extend(2, [np.array([8.0, 9.0])])
+        assert store.ids() == [1, 2]
+        assert store.read(2).values.tolist() == [8.0, 9.0]
+
+    @pytest.mark.parametrize("name", ALL_STORES)
+    def test_extend_matches_appends(self, name):
+        batch = _workload(5, n=12)
+        one_pass = make_store(name, page_size=64)
+        one_pass.extend(3, batch)
+        appended = make_store(name, page_size=64)
+        for seq_id, values in enumerate(batch, start=3):
+            appended.append(seq_id, values)
+        assert _state(one_pass) == _state(appended)
+        for seq_id in appended.ids():
+            assert one_pass.pages_of(seq_id) == appended.pages_of(seq_id)
+            assert one_pass.read(seq_id).values.tolist() == (
+                appended.read(seq_id).values.tolist()
+            )
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_rejected_bulk_load_leaves_every_shard_unchanged(self, shards):
+        db = TimeWarpingDatabase(shards=shards)
+        db.bulk_load([np.ones(3), np.ones(4)])
+        with pytest.raises(ValidationError):
+            db.bulk_load([np.ones(2), np.ones(2), np.array([1.0, np.nan])])
+        assert db.ids() == [0, 1]
+        assert db.bulk_load([np.ones(2)]) == [2]
 
 
 class TestRegistryContract:
